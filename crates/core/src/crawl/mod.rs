@@ -106,8 +106,8 @@ pub struct CrawlReport {
     /// interface stack. Always this run's *delta*, even when the cache
     /// store is shared across runs (warm sweeps).
     pub cache: Option<smartcrawl_hidden::CacheStats>,
-    /// Speculation accounting of the pipelined driver — `None` for
-    /// sequential runs (pipeline depth 1, or no
+    /// Speculation accounting of the session's prefetch step — `None` when
+    /// it did not speculate (pipeline depth 1, or no
     /// [`prefetch_handle`](smartcrawl_hidden::SearchInterface::prefetch_handle)
     /// in the interface stack). Pure profile, like `cache`: never folded
     /// into result digests.

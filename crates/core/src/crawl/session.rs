@@ -26,11 +26,10 @@ use crate::crawl::observe::{CrawlEvent, CrawlObserver, EventCounts, EventStamp};
 use crate::crawl::{CrawlReport, CrawlStep, EnrichedPair};
 use crate::local::{LocalDb, LocalMatchIndex};
 use crate::select::engine::{Engine, ProcessOutcome, SelectionStats};
-use smartcrawl_hidden::{
-    HiddenDb, RetryPolicy, Retrieved, SearchError, SearchInterface, SearchPage,
-};
+use smartcrawl_hidden::{RetryPolicy, Retrieved, SearchError, SearchInterface, SearchPage};
 use smartcrawl_index::QueryId;
 use smartcrawl_match::Matcher;
+use smartcrawl_par::PipelineHandle;
 use std::time::Instant;
 
 /// Wall-clock nanoseconds spent in each phase of the crawl loop, plus the
@@ -62,11 +61,11 @@ impl PhaseTimings {
 /// with an interface stack that exposes a
 /// [`prefetch_handle`](SearchInterface::prefetch_handle)). Pure profile:
 /// none of these numbers feed back into any crawl decision, and the crawl
-/// trajectory is byte-identical to the sequential driver's at every depth.
+/// trajectory is byte-identical to a non-speculating run's at every depth.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
-    /// The pipeline depth the session ran at (≥ 2; depth 1 runs the
-    /// sequential driver and reports no pipeline section).
+    /// The pipeline depth the session ran at (≥ 2; at depth 1 the session
+    /// does not speculate and reports no pipeline section).
     pub depth: usize,
     /// Speculative searches handed to the worker pipeline.
     pub prefetches: usize,
@@ -86,8 +85,8 @@ pub struct PipelineStats {
     pub wait_ns: u64,
     /// Wall time spent computing hint batches
     /// ([`QuerySource::next_queries`]), in nanoseconds — the price of
-    /// speculation, kept out of `selection_ns` so sequential and pipelined
-    /// phase profiles stay comparable.
+    /// speculation, kept out of `selection_ns` so phase profiles with and
+    /// without speculation stay comparable.
     pub speculation_ns: u64,
 }
 
@@ -143,7 +142,7 @@ pub trait QuerySource {
 
     /// A non-binding forecast of the next up-to-`m` queries this source
     /// expects [`QuerySource::next_query`] to return, best first — the
-    /// batch-selection hook the pipelined driver speculates on.
+    /// batch-selection hook the session's speculation step prefetches.
     ///
     /// Contract: *peek, don't consume*. The source's state must be
     /// unchanged afterwards, and every query is still issued through the
@@ -234,10 +233,10 @@ impl CrawlSession {
     /// With a pipeline depth > 1 in scope
     /// ([`with_pipeline_depth`](smartcrawl_par::with_pipeline_depth)) and
     /// an interface stack exposing a
-    /// [`prefetch_handle`](SearchInterface::prefetch_handle), the session
-    /// runs the pipelined driver instead — byte-identical trajectory,
-    /// overlapped search latency, and a
-    /// [`pipeline`](CrawlReport::pipeline) section in the report.
+    /// [`prefetch_handle`](SearchInterface::prefetch_handle), the loop also
+    /// speculates: worker threads search the source's forecast ahead of
+    /// time. The trajectory is byte-identical either way; the report then
+    /// carries a [`pipeline`](CrawlReport::pipeline) section.
     pub fn run<S: QuerySource + ?Sized, I: SearchInterface>(
         &self,
         source: &mut S,
@@ -245,11 +244,43 @@ impl CrawlSession {
         observer: &mut dyn CrawlObserver,
     ) -> CrawlReport {
         let depth = smartcrawl_par::current_pipeline_depth();
-        if depth > 1 {
-            if let Some(db) = iface.prefetch_handle() {
-                return self.run_pipelined(source, iface, observer, depth, db);
-            }
-        }
+        let Some(db) = (depth > 1).then(|| iface.prefetch_handle()).flatten() else {
+            return self.drive(source, iface, observer, None);
+        };
+        smartcrawl_par::run_pipeline(
+            depth,
+            |keywords: Vec<String>| {
+                // Pure page computation; timed so the report can show how
+                // much search latency the overlap absorbed.
+                let t = Instant::now();
+                let page = SearchPage { records: db.search(&keywords) };
+                (page, t.elapsed().as_nanos() as u64)
+            },
+            |pipe| {
+                let stats = PipelineStats { depth, ..Default::default() };
+                let speculation = Speculation { pipe, in_flight: Vec::new(), stats };
+                self.drive(source, iface, observer, Some(speculation))
+            },
+        )
+    }
+
+    /// The budget loop, with an optional speculation step that cannot
+    /// change the trajectory (DESIGN.md §14): workers only compute pages
+    /// from the side-effect-free engine under the interface stack. Every
+    /// stateful step happens here, in issue order — each query still comes
+    /// from [`QuerySource::next_query`], a prefetched page is committed
+    /// through [`SearchInterface::commit_prefetched`], which every wrapper
+    /// makes observably identical to [`SearchInterface::search`], and
+    /// fault draws are keyed on the ordinal from
+    /// [`SearchInterface::begin_query`]. Results are claimed by ticket, so
+    /// worker completion order is unobservable.
+    fn drive<S: QuerySource + ?Sized, I: SearchInterface>(
+        &self,
+        source: &mut S,
+        iface: &mut I,
+        observer: &mut dyn CrawlObserver,
+        mut speculation: Option<Speculation<'_>>,
+    ) -> CrawlReport {
         let mut ins = Instrument {
             // lint:allow(determinism) wall time feeds event timestamps only, never selection
             start: Instant::now(),
@@ -265,7 +296,7 @@ impl CrawlSession {
         // Ordinal of the next issued query (counts every QueryIssued,
         // including queries later dropped after retry exhaustion). Keys
         // the interface stack's per-query state (fault-injection draws)
-        // so sequential and pipelined runs burn identical randomness.
+        // so speculative and plain runs burn identical randomness.
         let mut issued_ordinal = 0usize;
         // Counter snapshot of any query-result cache in the interface
         // stack: per-query hit/miss events diff against it, and the report
@@ -273,6 +304,10 @@ impl CrawlSession {
         let cache_at_start = iface.cache_stats();
 
         'session: while report.steps.len() + failed_attempts < self.budget {
+            if let Some(spec) = &mut speculation {
+                let budget_left = self.budget - (report.steps.len() + failed_attempts);
+                spec.refill(source, report.steps.len(), budget_left);
+            }
             let t = Instant::now();
             let next = source.next_query(report.steps.len());
             timing.selection_ns += t.elapsed().as_nanos() as u64;
@@ -282,13 +317,21 @@ impl CrawlSession {
             ins.emit(CrawlEvent::QueryIssued { terms: keywords.len() });
             iface.begin_query(issued_ordinal);
             issued_ordinal += 1;
+            let prefetched = speculation.as_mut().and_then(|spec| spec.claim(&keywords));
 
             let mut attempt = 0usize;
             let page = loop {
                 let hits_before =
                     cache_at_start.and_then(|_| iface.cache_stats()).map(|s| s.hits);
                 let t = Instant::now();
-                let result = iface.search(&keywords);
+                // Retries re-commit the same speculative page: against the
+                // deterministic engine that is equivalent to re-searching,
+                // and the accounting stack charges and draws identically
+                // either way.
+                let result = match &prefetched {
+                    Some(page) => iface.commit_prefetched(&keywords, page),
+                    None => iface.search(&keywords),
+                };
                 timing.search_ns += t.elapsed().as_nanos() as u64;
                 match result {
                     Ok(page) => {
@@ -354,223 +397,79 @@ impl CrawlSession {
         report.selection = source.selection_stats();
         report.timing = timing;
         report.events = ins.counts;
+        report.pipeline = speculation.map(Speculation::finish);
         if let (Some(start), Some(end)) = (cache_at_start, iface.cache_stats()) {
             report.cache = Some(end.since(&start));
         }
         report
     }
+}
 
-    /// The pipelined driver: overlaps speculative `HiddenDb::search` calls
-    /// (pure, side-effect free) on worker threads with selection, page
-    /// matching, and removal on this thread.
-    ///
-    /// Determinism argument, in full (DESIGN.md §14 for the prose
-    /// version): workers compute *pages only* — `db` is the bottom of the
-    /// interface stack and has no interior mutability. Every stateful step
-    /// happens here, in issue order: the authoritative
-    /// [`QuerySource::next_query`] picks each query exactly as the
-    /// sequential driver would; a speculative page is committed through
-    /// [`SearchInterface::commit_prefetched`], which every wrapper
-    /// (budget meter, cache, fault injector) implements to be observably
-    /// identical to [`SearchInterface::search`]; and fault-injection draws
-    /// are keyed on the issued-query ordinal propagated via
-    /// [`SearchInterface::begin_query`], not on call order. Completion
-    /// order of workers is unobservable — results are claimed by ticket —
-    /// so the report is byte-identical to the sequential driver's at any
-    /// depth and thread count.
-    ///
-    /// This loop must mirror [`CrawlSession::run`]'s event emission,
-    /// budget accounting, and retry handling exactly; the cross-crate
-    /// `pipeline_properties` tests hold the two drivers to byte-identical
-    /// digests for every approach.
-    fn run_pipelined<S: QuerySource + ?Sized, I: SearchInterface>(
-        &self,
+/// The crawl loop's optional speculation step: keeps up to `depth`
+/// searches of the source's forecast in flight on pipeline workers.
+struct Speculation<'p> {
+    pipe: &'p PipelineHandle<'p, Vec<String>, (SearchPage, u64)>,
+    /// Speculations in flight, `(keywords, ticket)`, oldest first.
+    in_flight: Vec<(Vec<String>, u64)>,
+    stats: PipelineStats,
+}
+
+impl Speculation<'_> {
+    /// Reconciles the in-flight window with the source's current forecast:
+    /// forgets the entries it no longer predicts, then submits new ones,
+    /// never past the remaining budget (those could only be discarded).
+    fn refill<S: QuerySource + ?Sized>(
+        &mut self,
         source: &mut S,
-        iface: &mut I,
-        observer: &mut dyn CrawlObserver,
-        depth: usize,
-        db: &HiddenDb,
-    ) -> CrawlReport {
-        let mut ins = Instrument {
-            // lint:allow(determinism) wall time feeds event timestamps only, never selection
-            start: Instant::now(),
-            seq: 0,
-            counts: EventCounts::default(),
-            observer,
-        };
-        let k = iface.k();
-        let mut report = CrawlReport::default();
-        let mut timing = PhaseTimings::default();
-        let mut failed_attempts = 0usize;
-        let mut issued_ordinal = 0usize;
-        let cache_at_start = iface.cache_stats();
-        let mut pstats = PipelineStats { depth, ..Default::default() };
-
-        smartcrawl_par::run_pipeline(
-            depth,
-            |keywords: Vec<String>| {
-                // Pure page computation; timed so the driver can report
-                // how much search latency the overlap absorbed.
-                let t = Instant::now();
-                let page = SearchPage { records: db.search(&keywords) };
-                (page, t.elapsed().as_nanos() as u64)
-            },
-            |pipe| {
-                // Speculations in flight: `(keywords, ticket)`, oldest
-                // first, at most `depth` entries.
-                let mut in_flight: Vec<(Vec<String>, u64)> = Vec::new();
-                'session: while report.steps.len() + failed_attempts < self.budget {
-                    // Refill the speculation window from the source's
-                    // current forecast: cancel in-flight entries it no
-                    // longer predicts, submit the new ones.
-                    let t = Instant::now();
-                    let hints = source.next_queries(report.steps.len(), depth);
-                    pstats.speculation_ns += t.elapsed().as_nanos() as u64;
-                    let mut kept = Vec::with_capacity(in_flight.len());
-                    for (kw, ticket) in in_flight.drain(..) {
-                        if hints.contains(&kw) {
-                            kept.push((kw, ticket));
-                        } else {
-                            pipe.forget(ticket);
-                            pstats.mispredicts += 1;
-                        }
-                    }
-                    in_flight = kept;
-                    // Never speculate past the remaining budget: those
-                    // queries could only be discarded.
-                    let window = depth
-                        .min(self.budget - (report.steps.len() + failed_attempts));
-                    for kw in hints {
-                        if in_flight.len() >= window {
-                            break;
-                        }
-                        if in_flight.iter().any(|(q, _)| *q == kw) {
-                            continue;
-                        }
-                        pstats.prefetches += 1;
-                        let ticket = pipe.submit(kw.clone());
-                        in_flight.push((kw, ticket));
-                    }
-
-                    let t = Instant::now();
-                    let next = source.next_query(report.steps.len());
-                    timing.selection_ns += t.elapsed().as_nanos() as u64;
-                    let Some(keywords) = next else {
-                        break; // source exhausted: pool drained or nothing live
-                    };
-                    ins.emit(CrawlEvent::QueryIssued { terms: keywords.len() });
-                    iface.begin_query(issued_ordinal);
-                    issued_ordinal += 1;
-
-                    // Claim the speculative page if the forecast was right
-                    // (matched by keyword equality — the engine's pages
-                    // are a pure function of the keywords).
-                    let prefetched = in_flight
-                        .iter()
-                        .position(|(q, _)| *q == keywords)
-                        .map(|i| {
-                            let (_, ticket) = in_flight.remove(i);
-                            let t = Instant::now();
-                            let (page, search_ns) = pipe.take(ticket);
-                            pstats.wait_ns += t.elapsed().as_nanos() as u64;
-                            pstats.worker_search_ns += search_ns;
-                            pstats.prefetch_hits += 1;
-                            page
-                        });
-
-                    let mut attempt = 0usize;
-                    let page = loop {
-                        let hits_before =
-                            cache_at_start.and_then(|_| iface.cache_stats()).map(|s| s.hits);
-                        let t = Instant::now();
-                        // Retries re-commit the same speculative page:
-                        // against the deterministic engine that is
-                        // equivalent to re-searching, and the accounting
-                        // stack charges/draws identically either way.
-                        let result = match &prefetched {
-                            Some(page) => iface.commit_prefetched(&keywords, page),
-                            None => iface.search(&keywords),
-                        };
-                        timing.search_ns += t.elapsed().as_nanos() as u64;
-                        match result {
-                            Ok(page) => {
-                                if let Some(before) = hits_before {
-                                    let now =
-                                        iface.cache_stats().map_or(before, |s| s.hits);
-                                    if now > before {
-                                        ins.emit(CrawlEvent::CacheHit {
-                                            results: page.records.len(),
-                                        });
-                                    } else {
-                                        ins.emit(CrawlEvent::CacheMiss);
-                                    }
-                                }
-                                break page;
-                            }
-                            Err(SearchError::BudgetExhausted) => {
-                                ins.emit(CrawlEvent::BudgetExhausted);
-                                break 'session;
-                            }
-                            Err(err) => {
-                                debug_assert!(err.is_retryable());
-                                failed_attempts += 1;
-                                let budget_left =
-                                    report.steps.len() + failed_attempts < self.budget;
-                                if attempt >= self.retry.max_retries || !budget_left {
-                                    source.on_failure(&keywords);
-                                    continue 'session;
-                                }
-                                attempt += 1;
-                                timing.backoff_ticks += self.retry.backoff(attempt);
-                                ins.emit(CrawlEvent::RetryAttempted { attempt });
-                            }
-                        }
-                    };
-
-                    ins.emit(CrawlEvent::PageReceived {
-                        len: page.records.len(),
-                        full: page.is_full(k),
-                    });
-                    let t = Instant::now();
-                    let observation = source.observe(&keywords, &page, k);
-                    timing.matching_ns += t.elapsed().as_nanos() as u64;
-
-                    for pair in &observation.newly_covered {
-                        ins.emit(CrawlEvent::Matched { local: pair.local });
-                    }
-                    if observation.removed > 0 {
-                        ins.emit(CrawlEvent::Removed { count: observation.removed });
-                    }
-                    report.records_removed += observation.removed;
-                    report.enriched.extend(observation.newly_covered);
-                    report.steps.push(CrawlStep {
-                        keywords,
-                        returned: page.records.iter().map(|r| r.external_id).collect(),
-                        full_page: page.is_full(k),
-                    });
-                }
-                // Session over; whatever is still speculatively in flight
-                // was never issued.
-                for (_, ticket) in in_flight.drain(..) {
-                    pipe.forget(ticket);
-                    pstats.discarded += 1;
-                }
-            },
-        );
-
-        if report.steps.len() + failed_attempts >= self.budget
-            && ins.counts.budget_exhausted == 0
-        {
-            ins.emit(CrawlEvent::BudgetExhausted);
+        issued: usize,
+        budget_left: usize,
+    ) {
+        let t = Instant::now();
+        let hints = source.next_queries(issued, self.stats.depth);
+        self.stats.speculation_ns += t.elapsed().as_nanos() as u64;
+        let (pipe, stats) = (self.pipe, &mut self.stats);
+        self.in_flight.retain(|(kw, ticket)| {
+            let predicted = hints.contains(kw);
+            if !predicted {
+                pipe.forget(*ticket);
+                stats.mispredicts += 1;
+            }
+            predicted
+        });
+        let window = self.stats.depth.min(budget_left);
+        for kw in hints {
+            if self.in_flight.len() >= window {
+                break;
+            }
+            if !self.in_flight.iter().any(|(q, _)| *q == kw) {
+                self.stats.prefetches += 1;
+                let ticket = self.pipe.submit(kw.clone());
+                self.in_flight.push((kw, ticket));
+            }
         }
-        report.selection = source.selection_stats();
-        report.timing = timing;
-        report.events = ins.counts;
-        report.pipeline = Some(pstats);
-        if let (Some(start), Some(end)) = (cache_at_start, iface.cache_stats()) {
-            report.cache = Some(end.since(&start));
+    }
+
+    /// The speculative page of `keywords`, if the forecast was right
+    /// (matched by keyword equality — pages are a pure function of the
+    /// keywords).
+    fn claim(&mut self, keywords: &[String]) -> Option<SearchPage> {
+        let i = self.in_flight.iter().position(|(q, _)| q == keywords)?;
+        let (_, ticket) = self.in_flight.remove(i);
+        let t = Instant::now();
+        let (page, search_ns) = self.pipe.take(ticket);
+        self.stats.wait_ns += t.elapsed().as_nanos() as u64;
+        self.stats.worker_search_ns += search_ns;
+        self.stats.prefetch_hits += 1;
+        Some(page)
+    }
+
+    /// Ends the session: whatever is still in flight was never issued.
+    fn finish(mut self) -> PipelineStats {
+        for (_, ticket) in self.in_flight.drain(..) {
+            self.pipe.forget(ticket);
+            self.stats.discarded += 1;
         }
-        report
+        self.stats
     }
 }
 
@@ -713,11 +612,13 @@ mod tests {
         word: String,
         observed: usize,
         failed: usize,
+        /// `next_queries` calls: speculation is the only caller.
+        forecasts: usize,
     }
 
     impl RepeatSource {
         fn new(word: &str) -> Self {
-            Self { word: word.into(), observed: 0, failed: 0 }
+            Self { word: word.into(), observed: 0, failed: 0, forecasts: 0 }
         }
     }
 
@@ -727,6 +628,7 @@ mod tests {
         }
 
         fn next_queries(&mut self, _issued: usize, m: usize) -> Vec<Vec<String>> {
+            self.forecasts += 1;
             vec![vec![self.word.clone()]; m.min(1)]
         }
 
@@ -846,13 +748,16 @@ mod tests {
             smartcrawl_par::with_pipeline_depth(depth, || {
                 let mut iface = Metered::new(&db, None);
                 let mut source = RepeatSource::new("house");
-                CrawlSession::new(6).run(&mut source, &mut iface, &mut NullObserver)
+                let report = CrawlSession::new(6).run(&mut source, &mut iface, &mut NullObserver);
+                (report, source.forecasts)
             })
         };
-        let sequential = run(1);
+        let (sequential, forecasts) = run(1);
         assert!(sequential.pipeline.is_none(), "depth 1 is the sequential driver");
+        assert_eq!(forecasts, 0, "depth 1 never asks the source for a forecast");
         for depth in [2, 4, 8] {
-            let piped = run(depth);
+            let (piped, forecasts) = run(depth);
+            assert!(forecasts > 0, "depth {depth} speculates");
             let steps = |r: &CrawlReport| {
                 r.steps
                     .iter()
@@ -863,6 +768,7 @@ mod tests {
             assert_eq!(sequential.events, piped.events, "depth {depth}");
             let p = piped.pipeline.expect("pipelined run reports speculation");
             assert_eq!(p.depth, depth);
+            assert!(p.prefetches > 0, "depth {depth} prefetches");
             assert!(p.prefetch_hits > 0, "the repeating hint must land");
             assert_eq!(p.mispredicts, 0, "the forecast never changes");
         }
@@ -885,13 +791,14 @@ mod tests {
             }
         }
         let db = tiny_db();
+        let mut source = RepeatSource::new("house");
         let report = smartcrawl_par::with_pipeline_depth(4, || {
             let mut iface = Opaque(Metered::new(&db, None));
-            let mut source = RepeatSource::new("house");
             CrawlSession::new(4).run(&mut source, &mut iface, &mut NullObserver)
         });
         assert_eq!(report.queries_issued(), 4);
         assert!(report.pipeline.is_none(), "no handle, no pipelined driver");
+        assert_eq!(source.forecasts, 0, "no handle, no forecasts");
     }
 
     #[test]

@@ -271,16 +271,16 @@ impl<'a> Engine<'a> {
     /// refreshed, because a dirty entry surfaces for recompute exactly
     /// when its stale stored priority is the heap maximum. Refreshing at
     /// peek time would store the lower current value, delay the entry's
-    /// next surfacing, and reorder later pops relative to the sequential
-    /// driver. The clone costs O(|Q|) per peek, on the driver thread only.
+    /// next surfacing, and reorder later pops relative to a peek-free run.
+    /// The clone costs O(|Q|) per peek, on the driver thread only.
+    /// Recomputes on the clone are not counted in `stale_recomputes`, so
+    /// the selection counters match a peek-free run's; the peek's price is
+    /// in the session's `speculation_ns`.
     pub(crate) fn peek_top(&mut self, m: usize) -> Vec<QueryId> {
         let mut hints = Vec::with_capacity(m);
         let mut queue = self.queue.clone();
         while hints.len() < m {
-            let next = queue.pop_max(|q| {
-                self.stats.stale_recomputes += 1;
-                self.priority(q)
-            });
+            let next = queue.pop_max(|q| self.priority(q));
             let Some((qid, prio)) = next else { break };
             if prio <= 0.0 && !self.strategy.issues_zero_benefit() {
                 continue; // select_next would skip it; not a hint

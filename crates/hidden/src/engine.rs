@@ -9,18 +9,17 @@
 //! The engine fronts one of two backends behind the same API: the original
 //! all-in-RAM implementation, or the out-of-core [`crate::store`] backend
 //! that keeps records and postings in `smartcrawl-store` paged files with
-//! only O(vocabulary) + O(page-cache budget) bytes resident. Both produce
-//! byte-identical pages for every query — the disk backend numbers records
-//! by global rank position so its postings are rank-sorted, and the RAM
-//! path's `rank_pos` sort keys are a permutation (no ties), which makes
-//! both orderings the unique rank order.
+//! only O(vocabulary) + O(page-cache budget) bytes resident. Both number
+//! records by global rank position, so their postings are rank-sorted, and
+//! both answer every query through the same [`crate::topk`] scans — the
+//! pages are byte-identical because they come from one algorithm.
 
 use crate::ranking::Ranking;
 use crate::record::{ExternalId, HiddenRecord, Retrieved};
 use crate::store::DiskHidden;
-use smartcrawl_index::InvertedIndex;
+use crate::topk;
 use smartcrawl_store::{StoreReport, StoreRuntime};
-use smartcrawl_text::{Document, RecordId, TokenId, Tokenizer, Vocabulary};
+use smartcrawl_text::{Document, TokenId, Tokenizer, Vocabulary};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -100,18 +99,21 @@ impl HiddenDbBuilder {
             .iter()
             .map(|r| r.searchable.document(&self.tokenizer, &mut vocab))
             .collect();
-        let index = InvertedIndex::build(&docs, vocab.len());
-        // Precompute the rank position of every record: position in the
-        // database-wide ranking order (lower = ranked higher).
-        let mut order: Vec<u32> = (0..self.records.len() as u32).collect();
+        // Rank-space record ids, as on the disk backend: a record's id in
+        // the postings is its position in the database-wide ranking order
+        // (lower = ranked higher, ties broken by external id), so every
+        // posting list comes out ascending and best-ranked first.
+        let mut by_rank: Vec<u32> = (0..self.records.len() as u32).collect();
         let ranking = self.ranking;
-        order.sort_unstable_by_key(|&i| {
+        by_rank.sort_unstable_by_key(|&i| {
             let r = &self.records[i as usize];
             (ranking.key(r.external_id.0, r.rank_signal), r.external_id.0)
         });
-        let mut rank_pos = vec![0u32; self.records.len()];
-        for (pos, &i) in order.iter().enumerate() {
-            rank_pos[i as usize] = pos as u32;
+        let mut postings: Vec<Vec<u32>> = vec![Vec::new(); vocab.len()];
+        for (rank, &i) in by_rank.iter().enumerate() {
+            for t in docs[i as usize].iter() {
+                postings[t.index()].push(rank as u32);
+            }
         }
         let by_external =
             self.records.iter().enumerate().map(|(i, r)| (r.external_id, i)).collect();
@@ -134,8 +136,8 @@ impl HiddenDbBuilder {
                 records: self.records,
                 retrieved,
                 docs,
-                index,
-                rank_pos,
+                postings,
+                by_rank,
                 by_external,
             }),
             vocab,
@@ -190,65 +192,35 @@ enum Backend {
 }
 
 /// The original all-in-RAM backend: dense parallel arrays indexed by the
-/// record ids this engine minted at build time.
+/// insertion positions this engine minted at build time, plus rank-space
+/// postings.
 #[derive(Debug)]
 struct RamHidden {
     records: Vec<HiddenRecord>,
-    /// Shared interface views, one per record (see `page_of`).
+    /// Shared interface views, one per record (see `page`).
     retrieved: Vec<Retrieved>,
     docs: Vec<Document>,
-    index: InvertedIndex,
-    /// Record position in the global ranking (lower ranks higher).
-    rank_pos: Vec<u32>,
+    /// Per token, the rank positions of the records holding it, ascending.
+    postings: Vec<Vec<u32>>,
+    /// Insertion position of the record at each rank position.
+    by_rank: Vec<u32>,
     by_external: HashMap<ExternalId, usize>,
 }
 
 impl RamHidden {
-    /// The conjunctive top-`k` page.
-    fn conjunctive_page(&self, tokens: &[TokenId], k: usize) -> Vec<Retrieved> {
-        self.page_of(self.top_k(self.index.matching(tokens), k))
+    /// The top-`k` page under `mode`.
+    fn page(&self, mode: SearchMode, tokens: &[TokenId], k: usize) -> Vec<Retrieved> {
+        let Ok(ranks) = topk::page(&mut self.postings.as_slice(), mode, tokens, k);
+        ranks
+            .iter()
+            .map(|&rank| self.retrieved[self.by_rank[rank as usize] as usize].clone())
+            .collect()
     }
 
     /// `|q(H)|` under conjunctive semantics.
     fn frequency(&self, tokens: &[TokenId]) -> usize {
-        self.index.frequency(tokens)
-    }
-
-    fn disjunctive_page(&self, tokens: &[TokenId], k: usize) -> Vec<Retrieved> {
-        // Count distinct query tokens per candidate record.
-        let mut hits: HashMap<RecordId, u32> = HashMap::new();
-        for &t in tokens {
-            for &rid in self.index.postings(t) {
-                *hits.entry(rid).or_insert(0) += 1;
-            }
-        }
-        // Yelp-like two-tier ranking (paper §2: records containing all
-        // query keywords rank at the top): full matches first, ordered by
-        // the engine ranking; then partial matches ordered by the engine
-        // ranking alone — real relevance engines rank the partial tail by
-        // popularity signals, not by raw keyword overlap, which is what
-        // buries near-miss records under popular loosely-related ones.
-        let n_query = tokens.len() as u32;
-        let mut scored: Vec<(RecordId, bool)> =
-            hits.into_iter().map(|(rid, m)| (rid, m == n_query)).collect();
-        scored.sort_unstable_by_key(|&(rid, full)| {
-            (std::cmp::Reverse(full), self.rank_pos[rid.index()])
-        });
-        scored.truncate(k);
-        self.page_of(scored.into_iter().map(|(rid, _)| rid).collect())
-    }
-
-    fn top_k(&self, mut matches: Vec<RecordId>, k: usize) -> Vec<RecordId> {
-        if matches.len() > k {
-            matches.select_nth_unstable_by_key(k, |&rid| self.rank_pos[rid.index()]);
-            matches.truncate(k);
-        }
-        matches.sort_unstable_by_key(|&rid| self.rank_pos[rid.index()]);
-        matches
-    }
-
-    fn page_of(&self, ids: Vec<RecordId>) -> Vec<Retrieved> {
-        ids.into_iter().map(|rid| self.retrieved[rid.index()].clone()).collect()
+        let Ok(matches) = topk::conjunctive(&mut self.postings.as_slice(), tokens, usize::MAX);
+        matches.len()
     }
 }
 
@@ -348,82 +320,49 @@ impl HiddenDb {
     /// dropped (the paper does not consider them query keywords). A query
     /// whose every keyword is unknown/stopword matches nothing.
     pub fn search(&self, keywords: &[String]) -> Vec<Retrieved> {
-        match self.mode {
-            SearchMode::Conjunctive => {
-                // A keyword outside the vocabulary is contained in no
-                // record, so the conjunctive query matches nothing.
-                let Some(tokens) = self.normalize_conjunctive(keywords) else {
-                    return Vec::new();
-                };
-                if tokens.is_empty() {
-                    return Vec::new();
-                }
-                match &self.backend {
-                    Backend::Ram(ram) => ram.conjunctive_page(&tokens, self.k),
-                    Backend::Disk(disk) => disk.conjunctive_page(&tokens, self.k),
-                }
-            }
-            SearchMode::Disjunctive => {
-                let tokens = self.normalize(keywords);
-                if tokens.is_empty() {
-                    return Vec::new();
-                }
-                match &self.backend {
-                    Backend::Ram(ram) => ram.disjunctive_page(&tokens, self.k),
-                    Backend::Disk(disk) => disk.disjunctive_page(&tokens, self.k),
-                }
-            }
+        let tokens = self.normalize(keywords, self.mode);
+        if tokens.is_empty() {
+            return Vec::new();
+        }
+        match &self.backend {
+            Backend::Ram(ram) => ram.page(self.mode, &tokens, self.k),
+            Backend::Disk(disk) => disk.page(self.mode, &tokens, self.k),
         }
     }
 
     /// `|q(H)|` under *conjunctive* semantics — ground truth for tests and
     /// oracle estimators; a real hidden database never reveals this.
     pub fn true_frequency(&self, keywords: &[String]) -> usize {
-        match self.normalize_conjunctive(keywords) {
-            Some(tokens) if !tokens.is_empty() => match &self.backend {
-                Backend::Ram(ram) => ram.frequency(&tokens),
-                Backend::Disk(disk) => disk.frequency(&tokens),
-            },
-            _ => 0,
+        let tokens = self.normalize(keywords, SearchMode::Conjunctive);
+        if tokens.is_empty() {
+            return 0;
+        }
+        match &self.backend {
+            Backend::Ram(ram) => ram.frequency(&tokens),
+            Backend::Disk(disk) => disk.frequency(&tokens),
         }
     }
 
-    fn normalize(&self, keywords: &[String]) -> Vec<TokenId> {
-        let mut tokens: Vec<TokenId> = keywords
-            .iter()
-            .flat_map(|kw| {
-                self.tokenizer
-                    .raw_tokens(kw)
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|t| self.vocab.get(&t))
-            })
-            .flatten()
-            .collect();
-        tokens.sort_unstable();
-        tokens.dedup();
-        // Keywords unknown to the vocabulary vanish here; disjunctive
-        // queries simply ignore them (they match no posting list), so no
-        // separate unknown-keyword check is needed on that path.
-        tokens
-    }
-
-    /// Normalizes under *conjunctive* semantics: `None` as soon as any
-    /// keyword token is unknown to the vocabulary (such a query matches
-    /// nothing), otherwise the sorted deduplicated token set. One
-    /// tokenization pass where `normalize` + a separate unknown-keyword
-    /// scan used to do two — this sits on the oracle-evaluation hot path,
+    /// The query's sorted, deduplicated tokens (stop words dropped). A
+    /// keyword outside the vocabulary is held by no record: under
+    /// conjunctive semantics it empties the whole query, under disjunctive
+    /// semantics it matches no posting list and simply drops out. One
+    /// tokenization pass — this sits on the oracle-evaluation hot path,
     /// where queries are re-scored after every removal.
-    fn normalize_conjunctive(&self, keywords: &[String]) -> Option<Vec<TokenId>> {
+    fn normalize(&self, keywords: &[String], mode: SearchMode) -> Vec<TokenId> {
         let mut tokens: Vec<TokenId> = Vec::new();
         for kw in keywords {
             for t in self.tokenizer.raw_tokens(kw) {
-                tokens.push(self.vocab.get(&t)?);
+                match self.vocab.get(&t) {
+                    Some(id) => tokens.push(id),
+                    None if mode == SearchMode::Conjunctive => return Vec::new(),
+                    None => {}
+                }
             }
         }
         tokens.sort_unstable();
         tokens.dedup();
-        Some(tokens)
+        tokens
     }
 
     /// The shared interface view of a record (samplers use this to build
@@ -439,6 +378,7 @@ impl HiddenDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use smartcrawl_store::{StoreConfig, StoreRuntime};
     use smartcrawl_text::Record;
 
@@ -687,5 +627,99 @@ mod tests {
         assert_eq!(ram_views, disk_views);
         assert!(ram.store_report().is_none());
         assert!(disk.store_report().is_some());
+    }
+
+    /// Record words ("the" is a stop word), then query-only words: two no
+    /// record holds and one more stop word.
+    const WORDS: [&str; 11] = [
+        "thai", "house", "noodle", "ramen", "palace", "bar", "golden", "the", "unknownword",
+        "zzz", "of",
+    ];
+
+    /// The page by definition: match every record, rank, cut at `k`.
+    fn brute_force(
+        records: &[HiddenRecord],
+        q: &[String],
+        mode: SearchMode,
+        ranking: Ranking,
+        k: usize,
+    ) -> Vec<u64> {
+        let words = |r: &HiddenRecord| r.searchable.full_text();
+        let holds = |r: &HiddenRecord, w: &str| words(r).split(' ').any(|x| x == w);
+        let mut terms: Vec<&str> =
+            q.iter().map(String::as_str).filter(|w| !matches!(*w, "the" | "of")).collect();
+        terms.sort_unstable();
+        terms.dedup();
+        if mode == SearchMode::Disjunctive {
+            terms.retain(|w| records.iter().any(|r| holds(r, w)));
+        }
+        if terms.is_empty() {
+            return Vec::new();
+        }
+        let mut hits: Vec<(bool, u64, u64)> = records
+            .iter()
+            .filter_map(|r| {
+                let n = terms.iter().filter(|w| holds(r, w)).count();
+                let full = n == terms.len();
+                let hit = full || (mode == SearchMode::Disjunctive && n > 0);
+                let ext = r.external_id.0;
+                hit.then(|| (!full, ranking.key(ext, r.rank_signal), ext))
+            })
+            .collect();
+        hits.sort_unstable();
+        hits.into_iter().take(k).map(|(_, _, ext)| ext).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// Random corpora whose rank signals repeat (ties fall to the
+        /// external id), under an ordered and a hashed ranking, answer
+        /// every query identically from `build` and `build_streaming`, and
+        /// as the definition says.
+        #[test]
+        fn random_corpora_answer_identically_in_ram_and_on_disk(
+            rows in prop::collection::vec((prop::collection::vec(0usize..8, 1..5), 0u8..4), 1..80),
+            queries in prop::collection::vec(prop::collection::vec(0usize..11, 0..4), 1..16),
+            hashed_seed in 0u64..3,
+            k_at in 0usize..3,
+        ) {
+            let ranking = match hashed_seed {
+                0 => Ranking::SignalDesc,
+                seed => Ranking::Hashed { seed },
+            };
+            let k = [1, 2, 100][k_at];
+            let records: Vec<HiddenRecord> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, (words, signal))| {
+                    let name: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
+                    let ext = (rows.len() - i) as u64 * 3;
+                    let name = Record::from([name.join(" ")]);
+                    HiddenRecord::new(ext, name, vec![format!("p{i}")], f64::from(*signal))
+                })
+                .collect();
+            let queries: Vec<Vec<String>> = queries
+                .iter()
+                .map(|q| q.iter().map(|&w| WORDS[w].to_string()).collect())
+                .collect();
+            for mode in [SearchMode::Conjunctive, SearchMode::Disjunctive] {
+                let builder = || HiddenDbBuilder::new().k(k).ranking(ranking).mode(mode);
+                let ram = builder().records(records.clone()).build();
+                let disk = builder()
+                    .build_streaming(records.clone(), small_runtime())
+                    .expect("disk build");
+                for q in &queries {
+                    let page = ram.search(q);
+                    prop_assert_eq!(&page, &disk.search(q), "{:?} {:?}", mode, q);
+                    let ids: Vec<u64> = page.iter().map(|r| r.external_id.0).collect();
+                    prop_assert_eq!(ids, brute_force(&records, q, mode, ranking, k), "{:?} {:?}", mode, q);
+                    let freq = ram.true_frequency(q);
+                    prop_assert_eq!(freq, disk.true_frequency(q), "frequency of {:?}", q);
+                    let conjunctive = brute_force(&records, q, SearchMode::Conjunctive, ranking, usize::MAX);
+                    prop_assert_eq!(freq, conjunctive.len(), "frequency of {:?}", q);
+                }
+            }
+        }
     }
 }

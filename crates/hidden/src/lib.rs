@@ -33,6 +33,7 @@ pub mod interface;
 pub mod ranking;
 pub mod record;
 mod store;
+mod topk;
 
 pub use engine::{HiddenDb, HiddenDbBuilder, SearchMode};
 pub use flaky::FlakyInterface;

@@ -14,7 +14,9 @@
 //!   position before encoding, so every list is simultaneously ascending
 //!   and rank-sorted. A conjunctive top-k is then a rarest-first cursor
 //!   intersection that emits winners in final page order and *stops at
-//!   `k`* — non-winning records are never touched, let alone decoded.
+//!   `k`* — non-winning records are never touched, let alone decoded. The
+//!   scans live in [`crate::topk`], shared with the RAM backend; this
+//!   module only supplies the lists.
 //! * **aux blob** — three fixed-width arrays (rank → insertion id,
 //!   insertion id → record locator + rank, and the external-id lookup as
 //!   a sorted `(external, insertion)` array probed by binary search), all
@@ -34,8 +36,10 @@
 //! [`expect_store`], because an index vanishing mid-crawl is
 //! unrecoverable by design.
 
+use crate::engine::SearchMode;
 use crate::ranking::Ranking;
 use crate::record::{ExternalId, HiddenRecord, Retrieved};
+use crate::topk::{self, PostingSource};
 use smartcrawl_store::format::{read_varint, write_varint};
 use smartcrawl_store::postings::{decode_postings_into, encode_postings, PostingCursor};
 use smartcrawl_store::{
@@ -253,8 +257,7 @@ impl DiskHidden {
 
         // The global ranking permutation: rank-space id = position in the
         // order sorted by (ranking key, external id) — the exact key the
-        // RAM engine uses for `rank_pos`, so both backends agree on every
-        // tie-break.
+        // RAM engine sorts by, so both backends agree on every tie-break.
         let mut order: Vec<u32> = (0..n).collect();
         order.sort_unstable_by_key(|&i| keys.get(i as usize).copied());
         drop(keys);
@@ -486,73 +489,12 @@ impl DiskHidden {
         Ok(page)
     }
 
-    /// Rarest-first conjunctive intersection over rank-space postings.
-    /// Ids come out ascending — i.e. best-ranked first — so `limit`
-    /// truncates to the top-k without ever visiting a non-winning record.
-    fn intersect(
-        &self,
-        r: &mut Readers,
-        tokens: &[TokenId],
-        limit: Option<usize>,
-    ) -> Result<Vec<u32>> {
-        let mut metas: Vec<(u32, u32, Locator)> = Vec::with_capacity(tokens.len());
-        for t in tokens {
-            let count = self.post_counts.get(t.index()).copied().unwrap_or(0);
-            if count == 0 {
-                return Ok(Vec::new());
-            }
-            let loc = self
-                .post_locs
-                .get(t.index())
-                .copied()
-                .ok_or_else(|| corrupt(&self.runtime, "token beyond posting directory"))?;
-            metas.push((count, t.0, loc));
-        }
-        metas.sort_unstable_by_key(|&(count, tok, _)| (count, tok));
-        let Some((&(_, _, seed_loc), rest)) = metas.split_first() else {
-            return Ok(Vec::new());
-        };
-        let mut seed_bytes = Vec::new();
-        r.postings.read(seed_loc, &mut seed_bytes)?;
-        let mut seed: Vec<u32> = Vec::new();
-        decode_postings_into(&seed_bytes, &mut seed)
-            .ok_or_else(|| corrupt(&self.runtime, "undecodable posting list"))?;
-        let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(rest.len());
-        for &(_, _, loc) in rest {
-            let mut b = Vec::new();
-            r.postings.read(loc, &mut b)?;
-            bufs.push(b);
-        }
-        let mut cursors = Vec::with_capacity(bufs.len());
-        for b in &bufs {
-            cursors.push(
-                PostingCursor::new(b)
-                    .ok_or_else(|| corrupt(&self.runtime, "undecodable posting list"))?,
-            );
-        }
-        let mut out = Vec::new();
-        'cand: for &id in &seed {
-            for c in cursors.iter_mut() {
-                match c.advance_to(id) {
-                    Some(hit) if hit == id => {}
-                    Some(_) => continue 'cand,
-                    None => break 'cand,
-                }
-            }
-            out.push(id);
-            if limit.is_some_and(|k| out.len() >= k) {
-                break;
-            }
-        }
-        Ok(out)
-    }
-
-    /// The conjunctive top-`k` page.
-    pub(crate) fn conjunctive_page(&self, tokens: &[TokenId], k: usize) -> Vec<Retrieved> {
+    /// The top-`k` page under `mode`.
+    pub(crate) fn page(&self, mode: SearchMode, tokens: &[TokenId], k: usize) -> Vec<Retrieved> {
         let mut r = self.lock();
         let ranks = expect_store(
-            self.intersect(&mut r, tokens, Some(k)),
-            "hidden conjunctive search",
+            topk::page(&mut self.postings(&mut r), mode, tokens, k),
+            "hidden top-k scan",
         );
         expect_store(self.page_of_ranks(&mut r, &ranks), "hidden page read")
     }
@@ -560,43 +502,13 @@ impl DiskHidden {
     /// `|q(H)|` under conjunctive semantics (no early stop).
     pub(crate) fn frequency(&self, tokens: &[TokenId]) -> usize {
         let mut r = self.lock();
-        expect_store(self.intersect(&mut r, tokens, None), "hidden frequency scan").len()
+        let matches = topk::conjunctive(&mut self.postings(&mut r), tokens, usize::MAX);
+        expect_store(matches, "hidden frequency scan").len()
     }
 
-    /// The disjunctive top-`k` page: full matches first, then partials,
-    /// both ordered by rank — identical keys to the RAM engine because a
-    /// rank-space id *is* the rank position.
-    pub(crate) fn disjunctive_page(&self, tokens: &[TokenId], k: usize) -> Vec<Retrieved> {
-        let mut r = self.lock();
-        let mut hits: HashMap<u32, u32> = HashMap::new();
-        let mut bytes = Vec::new();
-        let mut ids: Vec<u32> = Vec::new();
-        for t in tokens {
-            if self.post_counts.get(t.index()).copied().unwrap_or(0) == 0 {
-                continue;
-            }
-            let Some(loc) = self.post_locs.get(t.index()).copied() else {
-                continue;
-            };
-            expect_store(r.postings.read(loc, &mut bytes), "hidden postings read");
-            expect_store(
-                decode_postings_into(&bytes, &mut ids)
-                    .ok_or_else(|| corrupt(&self.runtime, "undecodable posting list")),
-                "hidden postings decode",
-            );
-            for &id in &ids {
-                *hits.entry(id).or_insert(0) += 1;
-            }
-        }
-        let n_query = tokens.len() as u32;
-        let mut scored: Vec<(u32, bool)> = hits
-            .into_iter()
-            .map(|(rank, m)| (rank, m == n_query))
-            .collect();
-        scored.sort_unstable_by_key(|&(rank, full)| (std::cmp::Reverse(full), rank));
-        scored.truncate(k);
-        let ranks: Vec<u32> = scored.into_iter().map(|(rank, _)| rank).collect();
-        expect_store(self.page_of_ranks(&mut r, &ranks), "hidden page read")
+    /// The postings blob as a posting source for one scan.
+    fn postings<'a>(&'a self, r: &'a mut Readers) -> DiskPostings<'a> {
+        DiskPostings { hidden: self, reader: &mut r.postings, seed: Vec::new(), bufs: Vec::new() }
     }
 
     /// Ground-truth record access by external id.
@@ -632,6 +544,58 @@ impl DiskHidden {
                 rec.payload,
             ));
         }
+    }
+}
+
+/// One scan's view of the postings blob: each opened list is read whole,
+/// the first decoded into `seed`, the others walked by skip-entry
+/// [`PostingCursor`]s over their bytes.
+struct DiskPostings<'a> {
+    hidden: &'a DiskHidden,
+    reader: &'a mut BlobReader,
+    seed: Vec<u32>,
+    bufs: Vec<Vec<u8>>,
+}
+
+impl PostingSource for DiskPostings<'_> {
+    type Cursor<'s>
+        = PostingCursor<'s>
+    where
+        Self: 's;
+    type Error = StoreError;
+
+    fn count(&self, token: TokenId) -> u32 {
+        self.hidden.post_counts.get(token.index()).copied().unwrap_or(0)
+    }
+
+    fn open(&mut self, tokens: &[TokenId]) -> Result<(&[u32], Vec<PostingCursor<'_>>)> {
+        let runtime = &self.hidden.runtime;
+        self.bufs.clear();
+        for t in tokens {
+            let loc = self.hidden.post_locs.get(t.index()).copied();
+            let loc = loc.ok_or_else(|| corrupt(runtime, "token beyond posting directory"))?;
+            let mut bytes = Vec::new();
+            self.reader.read(loc, &mut bytes)?;
+            self.bufs.push(bytes);
+        }
+        let Some((seed, rest)) = self.bufs.split_first() else {
+            return Ok((&[], Vec::new()));
+        };
+        decode_postings_into(seed, &mut self.seed)
+            .ok_or_else(|| corrupt(runtime, "undecodable posting list"))?;
+        let cursors = rest
+            .iter()
+            .map(|b| {
+                PostingCursor::new(b).ok_or_else(|| corrupt(runtime, "undecodable posting list"))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok((&self.seed, cursors))
+    }
+}
+
+impl topk::Cursor for PostingCursor<'_> {
+    fn advance_to(&mut self, target: u32) -> Option<u32> {
+        PostingCursor::advance_to(self, target)
     }
 }
 

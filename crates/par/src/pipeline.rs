@@ -1,5 +1,5 @@
 //! Bounded-depth speculative work pipeline: the asynchronous half of the
-//! pipelined crawl driver.
+//! crawl session's speculation step.
 //!
 //! [`run_pipeline`] spins up worker threads under `std::thread::scope`
 //! (the same discipline as `par_chunks`: scoped spawns, panics re-raised
@@ -86,8 +86,6 @@ struct State<T, U> {
     done: Vec<(u64, Completion<U>)>,
     /// Tickets claimed by a worker whose results are no longer wanted.
     forgotten: Vec<u64>,
-    /// Jobs currently executing on a worker (claimed, not yet done).
-    in_flight: usize,
     /// Set once the driver closure returns: workers drain and exit.
     shutdown: bool,
 }
@@ -171,13 +169,6 @@ impl<T, U> PipelineHandle<'_, T, U> {
         }
         state.forgotten.push(ticket);
     }
-
-    /// Number of submitted-but-not-yet-taken jobs (pending + executing +
-    /// done-but-unclaimed).
-    pub fn outstanding(&self) -> usize {
-        let state = self.shared.state.lock().expect("pipeline lock");
-        state.pending.len() + state.in_flight + state.done.len()
-    }
 }
 
 /// Runs `drive` with a [`PipelineHandle`] backed by up to `depth` worker
@@ -203,7 +194,6 @@ where
             pending: VecDeque::new(),
             done: Vec::new(),
             forgotten: Vec::new(),
-            in_flight: 0,
             shutdown: false,
         }),
         work_ready: Condvar::new(),
@@ -253,11 +243,9 @@ where
                         }
                         state = shared.work_ready.wait(state).expect("pipeline lock");
                     };
-                    state.in_flight += 1;
                     drop(state);
                     let completion = catch_unwind(AssertUnwindSafe(|| job(item)));
                     let mut state = shared.state.lock().expect("pipeline lock");
-                    state.in_flight -= 1;
                     if let Some(i) = state.forgotten.iter().position(|&t| t == ticket) {
                         state.forgotten.swap_remove(i);
                         // A mispredicted job's result is dropped, but its
@@ -403,23 +391,6 @@ mod tests {
             });
             assert_eq!(taken, 11, "threads {threads}");
         }
-    }
-
-    #[test]
-    fn outstanding_counts_unclaimed_work() {
-        with_threads(1, || {
-            run_pipeline(
-                2,
-                |x: u32| x,
-                |pipe| {
-                    assert_eq!(pipe.outstanding(), 0);
-                    let t = pipe.submit(1);
-                    assert_eq!(pipe.outstanding(), 1);
-                    pipe.take(t);
-                    assert_eq!(pipe.outstanding(), 0);
-                },
-            )
-        });
     }
 
     #[test]

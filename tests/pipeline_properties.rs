@@ -157,3 +157,34 @@ fn pipelined_runs_report_a_speculation_profile() {
     );
     assert!(stats.prefetch_hits <= stats.prefetches);
 }
+
+#[test]
+fn speculation_leaves_the_selection_counters_alone() {
+    // Forecasting pops a throwaway copy of the selection queue; none of
+    // that work may show up in the crawl's own selection counters. The one
+    // exception is IdealCrawl's incremental-update count: its forecasts
+    // fill the shared oracle memo early, which moves later updates.
+    let scenario = Scenario::build(ScenarioConfig::tiny(13));
+    let counters = |depth: usize| {
+        with_threads(4, || {
+            specs(depth, &IndexBackendConfig::Ram)
+                .iter()
+                .map(|spec| run_approach_report(&scenario, spec).report.selection)
+                .collect::<Vec<_>>()
+        })
+    };
+    let reference = counters(1);
+    for depth in [2usize, 8] {
+        for (approach, (want, got)) in APPROACHES.iter().zip(reference.iter().zip(counters(depth))) {
+            let at = format!("{approach:?} at pipeline depth {depth}");
+            assert_eq!(want.pops, got.pops, "pops, {at}");
+            assert_eq!(want.stale_recomputes, got.stale_recomputes, "stale recomputes, {at}");
+            if *approach != Approach::Ideal {
+                assert_eq!(
+                    want.incremental_updates, got.incremental_updates,
+                    "incremental updates, {at}"
+                );
+            }
+        }
+    }
+}

@@ -221,6 +221,10 @@ fn crawl_digest(r: &CrawlReport) -> u64 {
 #[test]
 fn crawl_digests_are_invariant_across_cache_flakiness_and_threads() {
     use deeper::{CachePolicy, CachedInterface, QueryCache};
+    // What the digest leaves out but the crawl loop also accounts for:
+    // event tallies (retries, cache hits and misses, budget exhaustion)
+    // and simulated backoff. Pinned per stack against its depth-1 run.
+    let accounting = |r: &CrawlReport| (crawl_digest(r), (r.events, r.timing.backoff_ticks));
     for seed in [7u64, 42] {
         let s = scenario(seed);
         let budget = 18;
@@ -229,7 +233,7 @@ fn crawl_digests_are_invariant_across_cache_flakiness_and_threads() {
                 deeper::par::with_threads(threads, || {
                     deeper::par::with_pipeline_depth(depth, || {
                         let mut iface = Metered::new(&s.hidden, Some(budget));
-                        crawl_digest(&run_approach(
+                        accounting(&run_approach(
                             which, &s, budget, seed, &mut iface, RetryPolicy::none(),
                         ))
                     })
@@ -243,23 +247,29 @@ fn crawl_digests_are_invariant_across_cache_flakiness_and_threads() {
                             &mut store,
                             Metered::new(&s.hidden, Some(budget)),
                         );
-                        crawl_digest(&run_approach(
+                        accounting(&run_approach(
                             which, &s, budget, seed, &mut iface, RetryPolicy::none(),
                         ))
                     })
                 })
             };
-            let reference = plain(1, 1);
+            let (reference, plain_accounting) = plain(1, 1);
+            let (_, cached_accounting) = cached(1, 1);
             for depth in [1usize, 2, 8] {
                 for threads in [1usize, 4] {
-                    for (label, digest) in [
-                        ("plain", plain(threads, depth)),
-                        ("cached", cached(threads, depth)),
+                    for (label, (digest, counted), expected) in [
+                        ("plain", plain(threads, depth), plain_accounting),
+                        ("cached", cached(threads, depth), cached_accounting),
                     ] {
                         assert_eq!(
                             reference, digest,
                             "{name}: {label} @ {threads} threads, pipeline depth \
                              {depth} diverged from plain @ 1 thread (seed {seed})"
+                        );
+                        assert_eq!(
+                            expected, counted,
+                            "{name}: {label} @ {threads} threads, pipeline depth \
+                             {depth} accounted differently from depth 1 (seed {seed})"
                         );
                     }
                 }
@@ -276,12 +286,12 @@ fn crawl_digests_are_invariant_across_cache_flakiness_and_threads() {
                         if with_cache {
                             let mut store = QueryCache::new(CachePolicy::default());
                             let mut iface = CachedInterface::new(&mut store, inner);
-                            crawl_digest(&run_approach(
+                            accounting(&run_approach(
                                 which, &s, budget, seed, &mut iface, RetryPolicy::standard(),
                             ))
                         } else {
                             let mut iface = inner;
-                            crawl_digest(&run_approach(
+                            accounting(&run_approach(
                                 which, &s, budget, seed, &mut iface, RetryPolicy::standard(),
                             ))
                         }
@@ -289,14 +299,20 @@ fn crawl_digests_are_invariant_across_cache_flakiness_and_threads() {
                 })
             };
             for with_cache in [false, true] {
-                let flaky_reference = flaky(1, with_cache, 1);
+                let (flaky_reference, flaky_accounting) = flaky(1, with_cache, 1);
                 for depth in [1usize, 2, 8] {
                     for threads in [1usize, 4] {
+                        let (digest, counted) = flaky(threads, with_cache, depth);
                         assert_eq!(
                             flaky_reference,
-                            flaky(threads, with_cache, depth),
+                            digest,
                             "{name}: flaky (cache: {with_cache}) @ {threads} \
                              threads, pipeline depth {depth} diverged (seed {seed})"
+                        );
+                        assert_eq!(
+                            flaky_accounting, counted,
+                            "{name}: flaky (cache: {with_cache}) @ {threads} threads, \
+                             pipeline depth {depth} accounted differently (seed {seed})"
                         );
                     }
                 }
