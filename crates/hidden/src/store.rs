@@ -17,11 +17,12 @@
 //!   `k`* — non-winning records are never touched, let alone decoded. The
 //!   scans live in [`crate::topk`], shared with the RAM backend; this
 //!   module only supplies the lists.
-//! * **aux blob** — three fixed-width arrays (rank → insertion id,
-//!   insertion id → record locator + rank, and the external-id lookup as
-//!   a sorted `(external, insertion)` array probed by binary search), all
-//!   read through the page cache so resident memory stays O(cache), not
-//!   O(|H|).
+//! * **aux blob** — three fixed-width arrays, all read through the page
+//!   cache so resident memory stays O(cache), not O(|H|): rank → record
+//!   locator + insertion id (so a result page costs one aux read and one
+//!   record read per record), insertion id → record locator (for access
+//!   by insertion position or external id), and the external-id lookup
+//!   as a sorted `(external, insertion)` array probed by binary search.
 //!
 //! `Retrieved` views are materialized lazily through a bounded
 //! two-generation cache instead of eagerly for every record. Build-time
@@ -51,21 +52,42 @@ use std::sync::{Arc, Mutex};
 
 /// Bytes of one external-id lookup entry: `u64` external + `u32` insertion.
 const EXT_ENTRY: u64 = 12;
-/// Bytes of one record-meta entry: `u64` offset + `u32` len + `u32` rank.
-const META_ENTRY: u64 = 16;
-/// Bytes of one rank-map entry: `u32` insertion id.
-const RANK_ENTRY: u64 = 4;
+/// Bytes of one record-meta entry: `u64` offset + `u32` len.
+const META_ENTRY: u64 = 12;
+/// Bytes of one rank entry: `u64` record offset + `u32` record len +
+/// `u32` insertion id.
+const RANK_ENTRY: u64 = 16;
 /// Posting ids (× 4 bytes) one build chunk may hold in RAM.
 const CHUNK_IDS: usize = 4 << 20;
 /// Lazily materialized `Retrieved` views kept per cache generation.
 const VIEW_CACHE_CAP: usize = 4096;
 
 fn le_u32(buf: &[u8], off: usize) -> Option<u32> {
-    buf.get(off..off + 4)?.try_into().ok().map(u32::from_le_bytes)
+    buf.get(off..off + 4)?
+        .try_into()
+        .ok()
+        .map(u32::from_le_bytes)
 }
 
 fn le_u64(buf: &[u8], off: usize) -> Option<u64> {
-    buf.get(off..off + 8)?.try_into().ok().map(u64::from_le_bytes)
+    buf.get(off..off + 8)?
+        .try_into()
+        .ok()
+        .map(u64::from_le_bytes)
+}
+
+/// Appends `loc` as a `u64` offset + `u32` length aux field.
+fn put_locator(out: &mut Vec<u8>, loc: Locator) {
+    out.extend_from_slice(&loc.off.to_le_bytes());
+    out.extend_from_slice(&loc.len.to_le_bytes());
+}
+
+/// The locator [`put_locator`] wrote at the start of `buf`.
+fn locator_at(buf: &[u8]) -> Option<Locator> {
+    Some(Locator {
+        off: le_u64(buf, 0)?,
+        len: le_u32(buf, 8)?,
+    })
 }
 
 fn corrupt(runtime: &StoreRuntime, detail: &str) -> StoreError {
@@ -304,7 +326,11 @@ impl DiskHidden {
                 for step in 0..count {
                     let gap = read_varint(&doc_buf, &mut pos)
                         .ok_or_else(|| corrupt(&runtime, "undecodable staged document"))?;
-                    tok = if step == 0 { gap as u32 } else { tok + gap as u32 };
+                    tok = if step == 0 {
+                        gap as u32
+                    } else {
+                        tok + gap as u32
+                    };
                     let t = tok as usize;
                     if t >= chunk_lo && t < chunk_hi {
                         if let Some(list) = lists.get_mut(t - chunk_lo) {
@@ -325,6 +351,7 @@ impl DiskHidden {
         post_writer.finish()?;
         drop(staging);
         drop(doc_locs);
+        drop(ins_to_rank);
         std::fs::remove_file(&doc_path)?;
 
         // Aux blob: the three fixed-width arrays, appended entry by entry
@@ -335,27 +362,28 @@ impl DiskHidden {
         let mut rank_base = 0u64;
         let mut meta_base = 0u64;
         let mut ext_base = 0u64;
-        for (i, &ins) in order.iter().enumerate() {
-            let loc = aux_writer.append(&ins.to_le_bytes())?;
-            if i == 0 {
+        let mut entry: Vec<u8> = Vec::with_capacity(RANK_ENTRY as usize);
+        for (rank, &ins) in order.iter().enumerate() {
+            let rec = rec_locs.get(ins as usize).copied();
+            let rec = rec.ok_or_else(|| corrupt(&runtime, "ranked record beyond record count"))?;
+            entry.clear();
+            put_locator(&mut entry, rec);
+            entry.extend_from_slice(&ins.to_le_bytes());
+            let loc = aux_writer.append(&entry)?;
+            if rank == 0 {
                 rank_base = loc.off;
             }
         }
         drop(order);
-        let mut entry: Vec<u8> = Vec::with_capacity(META_ENTRY as usize);
-        for (ins, loc) in rec_locs.iter().enumerate() {
+        for (ins, &rec) in rec_locs.iter().enumerate() {
             entry.clear();
-            entry.extend_from_slice(&loc.off.to_le_bytes());
-            entry.extend_from_slice(&loc.len.to_le_bytes());
-            let rank = ins_to_rank.get(ins).copied().unwrap_or(0);
-            entry.extend_from_slice(&rank.to_le_bytes());
+            put_locator(&mut entry, rec);
             let loc = aux_writer.append(&entry)?;
             if ins == 0 {
                 meta_base = loc.off;
             }
         }
         drop(rec_locs);
-        drop(ins_to_rank);
         let mut ext_pairs: Vec<(u64, u32)> = exts
             .into_iter()
             .enumerate()
@@ -418,23 +446,19 @@ impl DiskHidden {
         res
     }
 
-    /// Insertion id of the record ranked `rank`.
-    fn rank_to_ins(&self, r: &mut Readers, rank: u32) -> Result<u32> {
+    /// Record locator and insertion id of the record ranked `rank`.
+    fn rank_entry(&self, r: &mut Readers, rank: u32) -> Result<(Locator, u32)> {
         Self::aux_entry(r, self.rank_base + u64::from(rank) * RANK_ENTRY, RANK_ENTRY)?;
-        le_u32(&r.scratch, 0).ok_or_else(short_read)
-    }
-
-    /// Record locator and rank of insertion id `ins`.
-    fn meta_of(&self, r: &mut Readers, ins: u32) -> Result<(Locator, u32)> {
-        Self::aux_entry(r, self.meta_base + u64::from(ins) * META_ENTRY, META_ENTRY)?;
-        match (
-            le_u64(&r.scratch, 0),
-            le_u32(&r.scratch, 8),
-            le_u32(&r.scratch, 12),
-        ) {
-            (Some(off), Some(len), Some(rank)) => Ok((Locator { off, len }, rank)),
+        match (locator_at(&r.scratch), le_u32(&r.scratch, 12)) {
+            (Some(loc), Some(ins)) => Ok((loc, ins)),
             _ => Err(short_read()),
         }
+    }
+
+    /// Record locator of insertion id `ins`.
+    fn meta_of(&self, r: &mut Readers, ins: u32) -> Result<Locator> {
+        Self::aux_entry(r, self.meta_base + u64::from(ins) * META_ENTRY, META_ENTRY)?;
+        locator_at(&r.scratch).ok_or_else(short_read)
     }
 
     /// Binary search of the sorted `(external, insertion)` array.
@@ -453,9 +477,8 @@ impl DiskHidden {
         Ok(None)
     }
 
-    /// Decodes the full record at insertion id `ins`.
-    fn record_of(&self, r: &mut Readers, ins: u32) -> Result<HiddenRecord> {
-        let (loc, _) = self.meta_of(r, ins)?;
+    /// Decodes the record stored at `loc`.
+    fn read_record(&self, r: &mut Readers, loc: Locator) -> Result<HiddenRecord> {
         let mut out = std::mem::take(&mut r.scratch);
         let res = r.records.read(loc, &mut out);
         r.scratch = out;
@@ -463,13 +486,19 @@ impl DiskHidden {
         decode_record(&r.scratch).ok_or_else(|| corrupt(&self.runtime, "undecodable record"))
     }
 
-    /// The interface view of insertion id `ins`, through the bounded
-    /// lazy cache.
-    fn view_of(&self, r: &mut Readers, ins: u32) -> Result<Retrieved> {
+    /// Decodes the full record at insertion id `ins`.
+    fn record_of(&self, r: &mut Readers, ins: u32) -> Result<HiddenRecord> {
+        let loc = self.meta_of(r, ins)?;
+        self.read_record(r, loc)
+    }
+
+    /// The interface view of insertion id `ins`, whose record is stored
+    /// at `loc`, through the bounded lazy cache.
+    fn view_of(&self, r: &mut Readers, ins: u32, loc: Locator) -> Result<Retrieved> {
         if let Some(v) = r.views.get(ins) {
             return Ok(v);
         }
-        let rec = self.record_of(r, ins)?;
+        let rec = self.read_record(r, loc)?;
         let view = Retrieved::new(
             rec.external_id,
             rec.searchable.fields().to_vec(),
@@ -483,8 +512,8 @@ impl DiskHidden {
     fn page_of_ranks(&self, r: &mut Readers, ranks: &[u32]) -> Result<Vec<Retrieved>> {
         let mut page = Vec::with_capacity(ranks.len());
         for &rank in ranks {
-            let ins = self.rank_to_ins(r, rank)?;
-            page.push(self.view_of(r, ins)?);
+            let (loc, ins) = self.rank_entry(r, rank)?;
+            page.push(self.view_of(r, ins, loc)?);
         }
         Ok(page)
     }
@@ -508,21 +537,32 @@ impl DiskHidden {
 
     /// The postings blob as a posting source for one scan.
     fn postings<'a>(&'a self, r: &'a mut Readers) -> DiskPostings<'a> {
-        DiskPostings { hidden: self, reader: &mut r.postings, seed: Vec::new(), bufs: Vec::new() }
+        DiskPostings {
+            hidden: self,
+            reader: &mut r.postings,
+            seed: Vec::new(),
+            bufs: Vec::new(),
+        }
     }
 
     /// Ground-truth record access by external id.
     pub(crate) fn get(&self, id: ExternalId) -> Option<HiddenRecord> {
         let mut r = self.lock();
         let ins = expect_store(self.lookup_external(&mut r, id.0), "hidden external lookup")?;
-        Some(expect_store(self.record_of(&mut r, ins), "hidden record read"))
+        Some(expect_store(
+            self.record_of(&mut r, ins),
+            "hidden record read",
+        ))
     }
 
     /// The interface view by external id.
     pub(crate) fn retrieved_of(&self, id: ExternalId) -> Option<Retrieved> {
         let mut r = self.lock();
         let ins = expect_store(self.lookup_external(&mut r, id.0), "hidden external lookup")?;
-        Some(expect_store(self.view_of(&mut r, ins), "hidden view read"))
+        let view = self
+            .meta_of(&mut r, ins)
+            .and_then(|loc| self.view_of(&mut r, ins, loc));
+        Some(expect_store(view, "hidden view read"))
     }
 
     /// The full record at insertion position `ins` (iteration support).
@@ -565,7 +605,11 @@ impl PostingSource for DiskPostings<'_> {
     type Error = StoreError;
 
     fn count(&self, token: TokenId) -> u32 {
-        self.hidden.post_counts.get(token.index()).copied().unwrap_or(0)
+        self.hidden
+            .post_counts
+            .get(token.index())
+            .copied()
+            .unwrap_or(0)
     }
 
     fn open(&mut self, tokens: &[TokenId]) -> Result<(&[u32], Vec<PostingCursor<'_>>)> {

@@ -69,7 +69,7 @@ impl Default for Config {
                 "crates/store/".into(),
                 // The disk-backed HiddenDb speaks the same store format
                 // and inherits the same contract: failures surface as
-                // StoreError, caching runs on the logical tick, and its
+                // StoreError, caching follows the access order, and its
                 // files are minted by PagedWriter.
                 "crates/hidden/src/store.rs".into(),
             ],

@@ -12,8 +12,8 @@
 //!   crate's single justified panic site carries its own
 //!   `lint:allow(panic-freedom)`; this rule keeps new ones out.)
 //! * **No wall-clock reads** (`Instant::now`, `SystemTime::now`): cache
-//!   eviction is driven by a logical access tick so page replacement —
-//!   and therefore every cached read — is deterministic.
+//!   eviction follows the order of accesses (a recency list) so page
+//!   replacement — and therefore every cached read — is deterministic.
 //! * **File writes only through the versioned-header writer**
 //!   (`Config::io_writer_paths`): `File::create`, `OpenOptions`, and
 //!   `fs::write` outside those files would mint store files that skip the
@@ -65,8 +65,8 @@ pub fn check(file: &SourceFile<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
             );
             continue;
         }
-        // `Instant :: now` / `SystemTime :: now` — eviction runs on a
-        // logical tick; a wall-clock LRU makes cached reads schedule-
+        // `Instant :: now` / `SystemTime :: now` — eviction follows the
+        // access order; a wall-clock LRU makes cached reads schedule-
         // dependent.
         if (tok.text == "Instant" || tok.text == "SystemTime")
             && file.code_tok(i + 1).is_some_and(|t| t.text == ":")
@@ -80,8 +80,8 @@ pub fn check(file: &SourceFile<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
                 tok.line,
                 tok.col,
                 format!(
-                    "{}::now() in the store — eviction and caching must run on the \
-                     logical access tick, never the wall clock",
+                    "{}::now() in the store — eviction and caching must follow the \
+                     access order, never the wall clock",
                     tok.text
                 ),
             );

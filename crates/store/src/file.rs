@@ -2,7 +2,7 @@
 //! checksummed header.
 //!
 //! ```text
-//! offset 0:  #smartcrawl-pages v1\n  (magic, 21 bytes)
+//! offset 0:  #smartcrawl-pages v2\n  (magic, 21 bytes)
 //!            u32 page_size (LE)
 //!            u64 num_pages (LE)
 //!            u64 FNV-1a over the 33 bytes above
@@ -10,25 +10,29 @@
 //! offset 64: page 0, page 1, …  (each `page_size` bytes)
 //! ```
 //!
-//! Each page is `[u32 payload_len][u64 FNV-1a over payload][payload]`
-//! zero-padded to `page_size`. The header is written *last* (by
-//! [`PagedWriter::finish`], which seeks back over the placeholder), so a
-//! writer that died mid-build leaves a file that fails header validation
-//! instead of one that silently reads short — the single-writer →
-//! multi-reader discipline: a file is immutable and complete the moment
-//! any [`PagedReader`] can open it.
+//! Each page is `[u32 payload_len][u64 checksum over payload][payload]`
+//! zero-padded to `page_size`. The page checksum is the word-parallel
+//! [`page_checksum`]; files of format v1, whose pages carry FNV-1a
+//! instead, fail [`PagedReader::open`] on their magic. Every page read
+//! verifies the checksum before the payload is handed out.
+//!
+//! The header is written *last* (by [`PagedWriter::finish`], which seeks
+//! back over the placeholder), so a writer that died mid-build leaves a
+//! file that fails header validation instead of one that silently reads
+//! short — the single-writer → multi-reader discipline: a file is
+//! immutable and complete the moment any [`PagedReader`] can open it.
 //!
 //! This module is the only place in the crate that creates or writes
 //! files (the `io-hygiene` lint rule enforces that); every validation
 //! failure is a clean [`StoreError::Corrupt`], never a panic.
 
-use crate::format::{fnv1a, invalid_data};
+use crate::format::{fnv1a, invalid_data, page_checksum};
 use crate::{Result, StoreError};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Versioned magic line opening every paged file.
-pub const MAGIC: &[u8] = b"#smartcrawl-pages v1\n";
+pub const MAGIC: &[u8] = b"#smartcrawl-pages v2\n";
 /// Bytes reserved for the file header (magic + sizes + checksum + pad).
 pub const HEADER_SPAN: usize = 64;
 /// Per-page header: `u32` payload length + `u64` payload checksum.
@@ -110,7 +114,7 @@ impl PagedWriter {
         self.staging
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.staging
-            .extend_from_slice(&fnv1a(payload).to_le_bytes());
+            .extend_from_slice(&page_checksum(payload).to_le_bytes());
         self.staging.extend_from_slice(payload);
         self.staging.resize(self.page_size, 0);
         self.file.write_all(&self.staging)?;
@@ -233,7 +237,7 @@ impl PagedReader {
             .raw
             .get(PAGE_HEADER_LEN..PAGE_HEADER_LEN + len)
             .ok_or_else(|| StoreError::corrupt(&self.path, "page payload truncated"))?;
-        if fnv1a(payload) != declared_sum {
+        if page_checksum(payload) != declared_sum {
             return Err(StoreError::corrupt(&self.path, "page checksum mismatch"));
         }
         out.clear();

@@ -9,11 +9,13 @@
 //!   versioned, checksummed header, written once by a single
 //!   [`PagedWriter`](file::PagedWriter) and then read by any number of
 //!   [`PagedReader`](file::PagedReader)s (single-writer → multi-reader
-//!   discipline). Truncation or bit-rot surfaces as a clean
-//!   [`StoreError::Corrupt`], never a panic.
-//! * [`cache`] — a fixed-budget page cache with pinned/LRU eviction.
-//!   Eviction order is driven by a logical access tick, *never* the wall
-//!   clock, so cached reads stay deterministic.
+//!   discipline). Every page carries a word-parallel checksum
+//!   ([`format::page_checksum`]) that each read verifies; truncation or
+//!   bit-rot surfaces as a clean [`StoreError::Corrupt`], never a panic.
+//! * [`cache`] — a fixed-budget page cache with pinned/LRU eviction over
+//!   an intrusive recency list: O(1) per access, and the eviction order
+//!   is a pure function of the access sequence, *never* the wall clock,
+//!   so cached reads stay deterministic.
 //! * [`postings`] — delta- plus varint-encoded posting lists with skip
 //!   entries every [`postings::SKIP_INTERVAL`] elements, enabling
 //!   galloping intersection over encoded lists without full decode.
