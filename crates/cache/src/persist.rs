@@ -49,7 +49,9 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 fn get_str(buf: &[u8], pos: &mut usize) -> std::io::Result<String> {
     let len = usize::try_from(read_varint(buf, pos).ok_or_else(|| bad("truncated cell length"))?)
         .map_err(|_| bad("oversized cell length"))?;
-    let end = pos.checked_add(len).ok_or_else(|| bad("oversized cell length"))?;
+    let end = pos
+        .checked_add(len)
+        .ok_or_else(|| bad("oversized cell length"))?;
     let bytes = buf.get(*pos..end).ok_or_else(|| bad("truncated cell"))?;
     *pos = end;
     String::from_utf8(bytes.to_vec()).map_err(|_| bad("cell is not UTF-8"))
@@ -113,7 +115,7 @@ pub fn save_cache(path: impl AsRef<Path>, cache: &QueryCache) -> std::io::Result
 /// rejected with `InvalidData` (the paged layer checksums every page and
 /// writes its header last, so a torn save never half-loads).
 pub fn load_cache(path: impl AsRef<Path>, policy: CachePolicy) -> std::io::Result<QueryCache> {
-    let mut reader = PagedReader::open(path.as_ref()).map_err(from_store)?;
+    let reader = PagedReader::open(path.as_ref()).map_err(from_store)?;
     let mut buf: Vec<u8> = Vec::new();
     let mut page = Vec::new();
     for p in 0..reader.num_pages() {

@@ -1,6 +1,7 @@
 //! The capacity-bounded LRU page store.
 
 use smartcrawl_hidden::{CacheStats, SearchPage};
+use smartcrawl_store::RecencyList;
 use std::collections::HashMap;
 
 /// What the cache keeps and what hits cost.
@@ -30,21 +31,18 @@ pub struct CachePolicy {
 
 impl Default for CachePolicy {
     fn default() -> Self {
-        Self { capacity: 1 << 16, cache_negative: true, charged_hits: false }
+        Self {
+            capacity: 1 << 16,
+            cache_negative: true,
+            charged_hits: false,
+        }
     }
 }
-
-/// Sentinel for "no slot" in the intrusive LRU list.
-const NIL: usize = usize::MAX;
 
 #[derive(Debug)]
 struct Slot {
     key: Vec<String>,
     page: SearchPage,
-    /// Neighbor toward the MRU end.
-    prev: usize,
-    /// Neighbor toward the LRU end.
-    next: usize,
 }
 
 /// An LRU map from canonical query keys to result pages, with cache
@@ -58,10 +56,8 @@ pub struct QueryCache {
     map: HashMap<Vec<String>, usize>,
     slots: Vec<Slot>,
     free: Vec<usize>,
-    /// Most recently used slot (NIL when empty).
-    head: usize,
-    /// Least recently used slot (NIL when empty).
-    tail: usize,
+    /// Recency order of the occupied slots (the page store's list type).
+    lru: RecencyList,
     stats: CacheStats,
 }
 
@@ -74,8 +70,7 @@ impl QueryCache {
             map: HashMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            head: NIL,
-            tail: NIL,
+            lru: RecencyList::default(),
             stats: CacheStats::default(),
         }
     }
@@ -116,8 +111,7 @@ impl QueryCache {
         if self.slots[i].page.records.is_empty() {
             self.stats.negative_hits += 1;
         }
-        self.detach(i);
-        self.push_front(i);
+        self.lru.touch(i);
     }
 
     /// Counts a lookup that found nothing.
@@ -162,14 +156,16 @@ impl QueryCache {
         if let Some(&i) = self.map.get(&key) {
             // Same logical query stored again (e.g. by hand): refresh.
             self.slots[i].page = page;
-            self.detach(i);
-            self.push_front(i);
+            self.lru.touch(i);
             return true;
         }
         if self.map.len() >= self.policy.capacity {
             self.evict_lru();
         }
-        let slot = Slot { key: key.clone(), page, prev: NIL, next: NIL };
+        let slot = Slot {
+            key: key.clone(),
+            page,
+        };
         let i = match self.free.pop() {
             Some(i) => {
                 self.slots[i] = slot;
@@ -181,18 +177,16 @@ impl QueryCache {
             }
         };
         self.map.insert(key, i);
-        self.push_front(i);
+        self.lru.push_front(i);
         true
     }
 
     /// The cached entries in least-recently-used-first order (the order
     /// persistence writes, so a reload reconstructs recency exactly).
     pub fn iter_lru(&self) -> impl Iterator<Item = (&[String], &SearchPage)> {
-        std::iter::successors(
-            (self.tail != NIL).then_some(self.tail),
-            move |&i| (self.slots[i].prev != NIL).then_some(self.slots[i].prev),
-        )
-        .map(move |i| (self.slots[i].key.as_slice(), &self.slots[i].page))
+        self.lru
+            .iter_oldest_first()
+            .map(move |i| (self.slots[i].key.as_slice(), &self.slots[i].page))
     }
 
     /// Zeroes the counters — used after loading a persisted store, where
@@ -203,42 +197,13 @@ impl QueryCache {
     }
 
     fn evict_lru(&mut self) {
-        let i = self.tail;
-        debug_assert!(i != NIL, "evict called on an empty store");
-        self.detach(i);
+        let Some(i) = self.lru.oldest() else { return };
+        self.lru.remove(i);
         let key = std::mem::take(&mut self.slots[i].key);
         self.slots[i].page = SearchPage::default();
         self.map.remove(&key);
         self.free.push(i);
         self.stats.evictions += 1;
-    }
-
-    fn detach(&mut self, i: usize) {
-        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
-        if prev != NIL {
-            self.slots[prev].next = next;
-        } else if self.head == i {
-            self.head = next;
-        }
-        if next != NIL {
-            self.slots[next].prev = prev;
-        } else if self.tail == i {
-            self.tail = prev;
-        }
-        self.slots[i].prev = NIL;
-        self.slots[i].next = NIL;
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.slots[i].prev = NIL;
-        self.slots[i].next = self.head;
-        if self.head != NIL {
-            self.slots[self.head].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
     }
 }
 
@@ -279,7 +244,10 @@ mod tests {
 
     #[test]
     fn lru_eviction_in_recency_order() {
-        let mut c = QueryCache::new(CachePolicy { capacity: 2, ..Default::default() });
+        let mut c = QueryCache::new(CachePolicy {
+            capacity: 2,
+            ..Default::default()
+        });
         c.insert(key("a"), page(1));
         c.insert(key("b"), page(1));
         // Touch "a" so "b" becomes the LRU entry.
@@ -298,7 +266,10 @@ mod tests {
 
     #[test]
     fn capacity_one_works() {
-        let mut c = QueryCache::new(CachePolicy { capacity: 1, ..Default::default() });
+        let mut c = QueryCache::new(CachePolicy {
+            capacity: 1,
+            ..Default::default()
+        });
         for i in 0..5 {
             c.insert(key(&format!("q{i}")), page(1));
         }
@@ -314,8 +285,10 @@ mod tests {
         assert!(yes.get(&key("none")).is_some());
         assert_eq!(yes.stats().negative_hits, 1);
 
-        let mut no =
-            QueryCache::new(CachePolicy { cache_negative: false, ..Default::default() });
+        let mut no = QueryCache::new(CachePolicy {
+            cache_negative: false,
+            ..Default::default()
+        });
         no.insert(key("none"), page(0));
         assert!(no.get(&key("none")).is_none());
         assert_eq!(no.stats().insertions, 0);
@@ -344,6 +317,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be at least 1")]
     fn zero_capacity_rejected() {
-        QueryCache::new(CachePolicy { capacity: 0, ..Default::default() });
+        QueryCache::new(CachePolicy {
+            capacity: 0,
+            ..Default::default()
+        });
     }
 }

@@ -185,7 +185,9 @@ impl GroundTruth {
 
     /// `|D ∩ H|`: how many local records can possibly be covered.
     pub fn matchable_count(&self) -> usize {
-        (0..self.local_entities.len()).filter(|&i| self.local_has_match(i)).count()
+        (0..self.local_entities.len())
+            .filter(|&i| self.local_has_match(i))
+            .count()
     }
 
     /// Whether an entity belongs to the community subpopulation `D` was
@@ -196,7 +198,10 @@ impl GroundTruth {
 
     /// Number of community entities present in the hidden database.
     pub fn hidden_community_count(&self) -> usize {
-        self.hidden_entities.iter().filter(|e| self.community_entities.contains(e)).count()
+        self.hidden_entities
+            .iter()
+            .filter(|e| self.community_entities.contains(e))
+            .count()
     }
 }
 
@@ -265,7 +270,13 @@ impl WorldSeed {
                 (g.universe(config.local_size), RestGen::Businesses(g))
             }
         };
-        Self { local_pool, gen, rng, matchable, rest_size }
+        Self {
+            local_pool,
+            gen,
+            rng,
+            matchable,
+            rest_size,
+        }
     }
 }
 
@@ -298,7 +309,8 @@ impl HiddenPlan {
         if config.drift_pct > 0.0 {
             let drift_n = ((matchable as f64) * config.drift_pct).round() as usize;
             let mut drift_rng = StdRng::seed_from_u64(config.seed.wrapping_add(2));
-            let chosen = rand::seq::index::sample(&mut drift_rng, matchable, drift_n.min(matchable));
+            let chosen =
+                rand::seq::index::sample(&mut drift_rng, matchable, drift_n.min(matchable));
             for i in chosen.iter() {
                 let mut rec = Record::new(local_pool[order[i]].fields.clone());
                 if perturb_record(&mut rec, &mut drift_rng).is_some() {
@@ -315,7 +327,11 @@ impl HiddenPlan {
         let mut perm: Vec<u32> = (0..config.hidden_size as u32).collect();
         perm.shuffle(rng);
 
-        Self { order, perm, drifted }
+        Self {
+            order,
+            perm,
+            drifted,
+        }
     }
 
     /// The hidden record with external id `ext`. `fetch_rest` resolves a
@@ -335,7 +351,12 @@ impl HiddenPlan {
                 .get(&(slot as u32))
                 .cloned()
                 .unwrap_or_else(|| e.fields.clone());
-            HiddenRecord::new(ext as u64, Record::new(fields), e.payload.clone(), e.rank_signal)
+            HiddenRecord::new(
+                ext as u64,
+                Record::new(fields),
+                e.payload.clone(),
+                e.rank_signal,
+            )
         } else {
             let (fields, payload, rank_signal) = fetch_rest(slot - matchable);
             HiddenRecord::new(ext as u64, Record::new(fields), payload, rank_signal)
@@ -398,7 +419,12 @@ fn ground_truth(
         external_entity.insert(ext as u64, id);
         hidden_entities.insert(id);
     }
-    GroundTruth { local_entities, external_entity, hidden_entities, community_entities }
+    GroundTruth {
+        local_entities,
+        external_entity,
+        hidden_entities,
+        community_entities,
+    }
 }
 
 /// Serializes one long-tail entity's record payload for the spill blob
@@ -488,7 +514,12 @@ impl Scenario {
             local_entities,
             community_entities,
         );
-        Scenario { local, hidden, truth, config }
+        Scenario {
+            local,
+            hidden,
+            truth,
+            config,
+        }
     }
 
     /// Builds the same scenario as [`Scenario::build`] — byte-identical
@@ -534,18 +565,17 @@ impl Scenario {
         }
         writer.finish()?;
 
-        let mut reader = BlobReader::open(
-            &rest_path,
-            (runtime.config().cache_pages / 16).max(2),
-            runtime.shared_stats(),
-        )?;
+        let reader = BlobReader::open(&rest_path, runtime.pool())?;
         let mut scratch = Vec::new();
         // The spill was just written and validated on open; a failed read
         // below is the store vanishing mid-build — fatal by design, like
         // every query-time read (the streaming iterator has no error
         // channel).
         let mut fetch = |j: usize| {
-            expect_store(reader.read(rest_locs[j], &mut scratch), "scenario rest spill read");
+            expect_store(
+                reader.read(rest_locs[j], &mut scratch),
+                "scenario rest spill read",
+            );
             expect_store(
                 decode_rest_entity(&scratch).ok_or_else(|| smartcrawl_store::StoreError::Corrupt {
                     path: rest_path.clone(),
@@ -573,7 +603,12 @@ impl Scenario {
             local_entities,
             community_entities,
         );
-        Ok(Scenario { local, hidden, truth, config })
+        Ok(Scenario {
+            local,
+            hidden,
+            truth,
+            config,
+        })
     }
 }
 
@@ -653,12 +688,23 @@ mod tests {
         clean_cfg.error_pct = 0.0;
         let clean = Scenario::build(clean_cfg);
         // Hidden sides identical; local sides differ.
-        let dirty_hidden: Vec<_> = s.hidden.iter().map(|r| r.searchable.fields().to_vec()).collect();
-        let clean_hidden: Vec<_> =
-            clean.hidden.iter().map(|r| r.searchable.fields().to_vec()).collect();
+        let dirty_hidden: Vec<_> = s
+            .hidden
+            .iter()
+            .map(|r| r.searchable.fields().to_vec())
+            .collect();
+        let clean_hidden: Vec<_> = clean
+            .hidden
+            .iter()
+            .map(|r| r.searchable.fields().to_vec())
+            .collect();
         assert_eq!(dirty_hidden, clean_hidden);
-        let differing =
-            s.local.iter().zip(&clean.local).filter(|(a, b)| a != b).count();
+        let differing = s
+            .local
+            .iter()
+            .zip(&clean.local)
+            .filter(|(a, b)| a != b)
+            .count();
         assert!(differing > 70, "only {differing} locals perturbed");
     }
 
@@ -725,12 +771,24 @@ mod tests {
         let ram_records: Vec<_> = ram
             .hidden
             .iter()
-            .map(|r| (r.external_id, r.searchable.fields().to_vec(), r.payload.clone()))
+            .map(|r| {
+                (
+                    r.external_id,
+                    r.searchable.fields().to_vec(),
+                    r.payload.clone(),
+                )
+            })
             .collect();
         let disk_records: Vec<_> = disk
             .hidden
             .iter()
-            .map(|r| (r.external_id, r.searchable.fields().to_vec(), r.payload.clone()))
+            .map(|r| {
+                (
+                    r.external_id,
+                    r.searchable.fields().to_vec(),
+                    r.payload.clone(),
+                )
+            })
             .collect();
         assert_eq!(ram_records, disk_records, "hidden record stream differs");
         for ext in 0..ram.hidden.len() as u64 {
@@ -741,7 +799,10 @@ mod tests {
             );
         }
         assert_eq!(ram.truth.matchable_count(), disk.truth.matchable_count());
-        assert_eq!(ram.truth.hidden_community_count(), disk.truth.hidden_community_count());
+        assert_eq!(
+            ram.truth.hidden_community_count(),
+            disk.truth.hidden_community_count()
+        );
     }
 
     #[test]
@@ -764,7 +825,10 @@ mod tests {
         let disk = Scenario::build_with_store(cfg, tiny_runtime()).expect("stream");
         assert_worlds_identical(&ram, &disk);
         // Spot-check the interface answers line up too.
-        for q in [vec!["grill".to_string()], vec!["phoenix".to_string(), "cafe".to_string()]] {
+        for q in [
+            vec!["grill".to_string()],
+            vec!["phoenix".to_string(), "cafe".to_string()],
+        ] {
             assert_eq!(ram.hidden.search(&q), disk.hidden.search(&q), "query {q:?}");
         }
     }

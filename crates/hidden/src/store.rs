@@ -4,7 +4,7 @@
 //! `Vec<Retrieved>` — fine at 10⁵ records, hopeless at the ROADMAP's
 //! scale-100 target. This backend keeps the whole record set on disk in
 //! `smartcrawl-store`'s paged format and keeps only O(vocabulary) +
-//! O(page-cache budget) bytes resident:
+//! O(page-pool budget) bytes resident:
 //!
 //! * **records blob** — each record varint-encoded once, in insertion
 //!   order (the order the generator yielded them, which every digest in
@@ -18,7 +18,7 @@
 //!   scans live in [`crate::topk`], shared with the RAM backend; this
 //!   module only supplies the lists.
 //! * **aux blob** — three fixed-width arrays, all read through the page
-//!   cache so resident memory stays O(cache), not O(|H|): rank → record
+//!   pool so resident memory stays O(pool), not O(|H|): rank → record
 //!   locator + insertion id (so a result page costs one aux read and one
 //!   record read per record), insertion id → record locator (for access
 //!   by insertion position or external id), and the external-id lookup
@@ -48,7 +48,7 @@ use smartcrawl_store::{
 };
 use smartcrawl_text::{TokenId, Tokenizer, Vocabulary};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Bytes of one external-id lookup entry: `u64` external + `u32` insertion.
 const EXT_ENTRY: u64 = 12;
@@ -190,19 +190,6 @@ impl ViewCache {
     }
 }
 
-/// The mutable half of the backend: blob readers with their page caches
-/// and scratch buffers, serialized behind one mutex (readers reposition
-/// files and recycle cache frames, so they need `&mut`).
-#[derive(Debug)]
-struct Readers {
-    records: BlobReader,
-    postings: BlobReader,
-    aux: BlobReader,
-    /// Scratch for aux/record span reads.
-    scratch: Vec<u8>,
-    views: ViewCache,
-}
-
 /// Disk-backed record/ranking backend behind the `HiddenDb` API.
 #[derive(Debug)]
 pub(crate) struct DiskHidden {
@@ -217,7 +204,10 @@ pub(crate) struct DiskHidden {
     rank_base: u64,
     meta_base: u64,
     ext_base: u64,
-    reader: Mutex<Readers>,
+    records: BlobReader,
+    postings: BlobReader,
+    aux: BlobReader,
+    views: Mutex<ViewCache>,
 }
 
 impl DiskHidden {
@@ -299,8 +289,7 @@ impl DiskHidden {
         let mut post_writer = BlobWriter::create(&post_path, page_size)?;
         let mut post_locs: Vec<Locator> = Vec::with_capacity(vocab.len());
         let mut post_counts: Vec<u32> = Vec::with_capacity(vocab.len());
-        let mut staging =
-            BlobReader::open(&doc_path, staging_budget(&runtime), runtime.shared_stats())?;
+        let staging = BlobReader::open(&doc_path, runtime.pool())?;
         let mut chunk_lo = 0usize;
         let mut doc_buf: Vec<u8> = Vec::new();
         let mut encoded: Vec<u8> = Vec::new();
@@ -402,15 +391,11 @@ impl DiskHidden {
         aux_writer.finish()?;
         drop(ext_pairs);
 
-        let stats = runtime.shared_stats();
-        let reader = Readers {
-            records: BlobReader::open(&rec_path, record_budget(&runtime), Arc::clone(&stats))?,
-            postings: BlobReader::open(&post_path, postings_budget(&runtime), Arc::clone(&stats))?,
-            aux: BlobReader::open(&aux_path, aux_budget(&runtime), stats)?,
-            scratch: Vec::new(),
-            views: ViewCache::new(VIEW_CACHE_CAP),
-        };
+        let pool = runtime.pool();
         Ok(Self {
+            records: BlobReader::open(&rec_path, pool)?,
+            postings: BlobReader::open(&post_path, pool)?,
+            aux: BlobReader::open(&aux_path, pool)?,
             runtime,
             n,
             post_locs,
@@ -418,7 +403,7 @@ impl DiskHidden {
             rank_base,
             meta_base,
             ext_base,
-            reader: Mutex::new(reader),
+            views: Mutex::new(ViewCache::new(VIEW_CACHE_CAP)),
         })
     }
 
@@ -430,116 +415,117 @@ impl DiskHidden {
         self.runtime.report()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Readers> {
-        self.reader.lock().unwrap_or_else(|p| p.into_inner())
+    fn views(&self) -> MutexGuard<'_, ViewCache> {
+        self.views.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Reads one fixed-width aux entry into the scratch buffer.
-    fn aux_entry(r: &mut Readers, off: u64, len: u64) -> Result<()> {
+    /// Reads the fixed-width aux entry at `off` into `buf`.
+    fn aux_entry(&self, off: u64, len: u64, buf: &mut Vec<u8>) -> Result<()> {
         let loc = Locator {
             off,
             len: len as u32,
         };
-        let mut out = std::mem::take(&mut r.scratch);
-        let res = r.aux.read(loc, &mut out);
-        r.scratch = out;
-        res
+        self.aux.read(loc, buf)
     }
 
     /// Record locator and insertion id of the record ranked `rank`.
-    fn rank_entry(&self, r: &mut Readers, rank: u32) -> Result<(Locator, u32)> {
-        Self::aux_entry(r, self.rank_base + u64::from(rank) * RANK_ENTRY, RANK_ENTRY)?;
-        match (locator_at(&r.scratch), le_u32(&r.scratch, 12)) {
+    fn rank_entry(&self, rank: u32, buf: &mut Vec<u8>) -> Result<(Locator, u32)> {
+        self.aux_entry(
+            self.rank_base + u64::from(rank) * RANK_ENTRY,
+            RANK_ENTRY,
+            buf,
+        )?;
+        match (locator_at(buf), le_u32(buf, 12)) {
             (Some(loc), Some(ins)) => Ok((loc, ins)),
             _ => Err(short_read()),
         }
     }
 
     /// Record locator of insertion id `ins`.
-    fn meta_of(&self, r: &mut Readers, ins: u32) -> Result<Locator> {
-        Self::aux_entry(r, self.meta_base + u64::from(ins) * META_ENTRY, META_ENTRY)?;
-        locator_at(&r.scratch).ok_or_else(short_read)
+    fn meta_of(&self, ins: u32, buf: &mut Vec<u8>) -> Result<Locator> {
+        self.aux_entry(
+            self.meta_base + u64::from(ins) * META_ENTRY,
+            META_ENTRY,
+            buf,
+        )?;
+        locator_at(buf).ok_or_else(short_read)
     }
 
     /// Binary search of the sorted `(external, insertion)` array.
-    fn lookup_external(&self, r: &mut Readers, ext: u64) -> Result<Option<u32>> {
+    fn lookup_external(&self, ext: u64, buf: &mut Vec<u8>) -> Result<Option<u32>> {
         let (mut lo, mut hi) = (0u64, u64::from(self.n));
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            Self::aux_entry(r, self.ext_base + mid * EXT_ENTRY, EXT_ENTRY)?;
-            let entry_ext = le_u64(&r.scratch, 0).ok_or_else(short_read)?;
+            self.aux_entry(self.ext_base + mid * EXT_ENTRY, EXT_ENTRY, buf)?;
+            let entry_ext = le_u64(buf, 0).ok_or_else(short_read)?;
             match entry_ext.cmp(&ext) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(le_u32(&r.scratch, 8)),
+                std::cmp::Ordering::Equal => return Ok(le_u32(buf, 8)),
             }
         }
         Ok(None)
     }
 
     /// Decodes the record stored at `loc`.
-    fn read_record(&self, r: &mut Readers, loc: Locator) -> Result<HiddenRecord> {
-        let mut out = std::mem::take(&mut r.scratch);
-        let res = r.records.read(loc, &mut out);
-        r.scratch = out;
-        res?;
-        decode_record(&r.scratch).ok_or_else(|| corrupt(&self.runtime, "undecodable record"))
+    fn read_record(&self, loc: Locator, buf: &mut Vec<u8>) -> Result<HiddenRecord> {
+        self.records.read(loc, buf)?;
+        decode_record(buf).ok_or_else(|| corrupt(&self.runtime, "undecodable record"))
     }
 
     /// Decodes the full record at insertion id `ins`.
-    fn record_of(&self, r: &mut Readers, ins: u32) -> Result<HiddenRecord> {
-        let loc = self.meta_of(r, ins)?;
-        self.read_record(r, loc)
+    fn record_of(&self, ins: u32, buf: &mut Vec<u8>) -> Result<HiddenRecord> {
+        let loc = self.meta_of(ins, buf)?;
+        self.read_record(loc, buf)
     }
 
     /// The interface view of insertion id `ins`, whose record is stored
     /// at `loc`, through the bounded lazy cache.
-    fn view_of(&self, r: &mut Readers, ins: u32, loc: Locator) -> Result<Retrieved> {
-        if let Some(v) = r.views.get(ins) {
+    fn view_of(&self, ins: u32, loc: Locator, buf: &mut Vec<u8>) -> Result<Retrieved> {
+        let cached = self.views().get(ins);
+        if let Some(v) = cached {
             return Ok(v);
         }
-        let rec = self.read_record(r, loc)?;
+        let rec = self.read_record(loc, buf)?;
         let view = Retrieved::new(
             rec.external_id,
             rec.searchable.fields().to_vec(),
             rec.payload,
         );
-        r.views.insert(ins, view.clone());
+        self.views().insert(ins, view.clone());
         Ok(view)
     }
 
     /// The page for a list of rank-space ids (already in final order).
-    fn page_of_ranks(&self, r: &mut Readers, ranks: &[u32]) -> Result<Vec<Retrieved>> {
+    fn page_of_ranks(&self, ranks: &[u32]) -> Result<Vec<Retrieved>> {
+        let mut buf = Vec::new();
         let mut page = Vec::with_capacity(ranks.len());
         for &rank in ranks {
-            let (loc, ins) = self.rank_entry(r, rank)?;
-            page.push(self.view_of(r, ins, loc)?);
+            let (loc, ins) = self.rank_entry(rank, &mut buf)?;
+            page.push(self.view_of(ins, loc, &mut buf)?);
         }
         Ok(page)
     }
 
     /// The top-`k` page under `mode`.
     pub(crate) fn page(&self, mode: SearchMode, tokens: &[TokenId], k: usize) -> Vec<Retrieved> {
-        let mut r = self.lock();
         let ranks = expect_store(
-            topk::page(&mut self.postings(&mut r), mode, tokens, k),
+            topk::page(&mut self.postings(), mode, tokens, k),
             "hidden top-k scan",
         );
-        expect_store(self.page_of_ranks(&mut r, &ranks), "hidden page read")
+        expect_store(self.page_of_ranks(&ranks), "hidden page read")
     }
 
     /// `|q(H)|` under conjunctive semantics (no early stop).
     pub(crate) fn frequency(&self, tokens: &[TokenId]) -> usize {
-        let mut r = self.lock();
-        let matches = topk::conjunctive(&mut self.postings(&mut r), tokens, usize::MAX);
+        let matches = topk::conjunctive(&mut self.postings(), tokens, usize::MAX);
         expect_store(matches, "hidden frequency scan").len()
     }
 
     /// The postings blob as a posting source for one scan.
-    fn postings<'a>(&'a self, r: &'a mut Readers) -> DiskPostings<'a> {
+    fn postings(&self) -> DiskPostings<'_> {
         DiskPostings {
             hidden: self,
-            reader: &mut r.postings,
             seed: Vec::new(),
             bufs: Vec::new(),
         }
@@ -547,37 +533,43 @@ impl DiskHidden {
 
     /// Ground-truth record access by external id.
     pub(crate) fn get(&self, id: ExternalId) -> Option<HiddenRecord> {
-        let mut r = self.lock();
-        let ins = expect_store(self.lookup_external(&mut r, id.0), "hidden external lookup")?;
+        let mut buf = Vec::new();
+        let ins = expect_store(
+            self.lookup_external(id.0, &mut buf),
+            "hidden external lookup",
+        )?;
         Some(expect_store(
-            self.record_of(&mut r, ins),
+            self.record_of(ins, &mut buf),
             "hidden record read",
         ))
     }
 
     /// The interface view by external id.
     pub(crate) fn retrieved_of(&self, id: ExternalId) -> Option<Retrieved> {
-        let mut r = self.lock();
-        let ins = expect_store(self.lookup_external(&mut r, id.0), "hidden external lookup")?;
+        let mut buf = Vec::new();
+        let ins = expect_store(
+            self.lookup_external(id.0, &mut buf),
+            "hidden external lookup",
+        )?;
         let view = self
-            .meta_of(&mut r, ins)
-            .and_then(|loc| self.view_of(&mut r, ins, loc));
+            .meta_of(ins, &mut buf)
+            .and_then(|loc| self.view_of(ins, loc, &mut buf));
         Some(expect_store(view, "hidden view read"))
     }
 
     /// The full record at insertion position `ins` (iteration support).
     pub(crate) fn record_at(&self, ins: usize) -> HiddenRecord {
-        let mut r = self.lock();
-        expect_store(self.record_of(&mut r, ins as u32), "hidden record read")
+        let mut buf = Vec::new();
+        expect_store(self.record_of(ins as u32, &mut buf), "hidden record read")
     }
 
     /// Streams every record's interface view in insertion order without
     /// materializing the set — sequential blob reads, bypassing the view
     /// cache so a full sweep cannot evict the working set.
     pub(crate) fn for_each_retrieved(&self, mut f: impl FnMut(Retrieved)) {
-        let mut r = self.lock();
+        let mut buf = Vec::new();
         for ins in 0..self.n {
-            let rec = expect_store(self.record_of(&mut r, ins), "hidden record sweep");
+            let rec = expect_store(self.record_of(ins, &mut buf), "hidden record sweep");
             f(Retrieved::new(
                 rec.external_id,
                 rec.searchable.fields().to_vec(),
@@ -592,7 +584,6 @@ impl DiskHidden {
 /// [`PostingCursor`]s over their bytes.
 struct DiskPostings<'a> {
     hidden: &'a DiskHidden,
-    reader: &'a mut BlobReader,
     seed: Vec<u32>,
     bufs: Vec<Vec<u8>>,
 }
@@ -619,7 +610,7 @@ impl PostingSource for DiskPostings<'_> {
             let loc = self.hidden.post_locs.get(t.index()).copied();
             let loc = loc.ok_or_else(|| corrupt(runtime, "token beyond posting directory"))?;
             let mut bytes = Vec::new();
-            self.reader.read(loc, &mut bytes)?;
+            self.hidden.postings.read(loc, &mut bytes)?;
             self.bufs.push(bytes);
         }
         let Some((seed, rest)) = self.bufs.split_first() else {
@@ -641,23 +632,4 @@ impl topk::Cursor for PostingCursor<'_> {
     fn advance_to(&mut self, target: u32) -> Option<u32> {
         PostingCursor::advance_to(self, target)
     }
-}
-
-/// Budget split of the runtime's total page-cache budget. The splits sum
-/// to strictly less than the configured total so transient build-time
-/// readers and over-budget span pins stay under `cache_pages` overall.
-fn postings_budget(rt: &StoreRuntime) -> usize {
-    (rt.config().cache_pages / 2).max(2)
-}
-
-fn record_budget(rt: &StoreRuntime) -> usize {
-    (rt.config().cache_pages / 4).max(2)
-}
-
-fn aux_budget(rt: &StoreRuntime) -> usize {
-    (rt.config().cache_pages / 16).max(2)
-}
-
-fn staging_budget(rt: &StoreRuntime) -> usize {
-    (rt.config().cache_pages / 16).max(2)
 }

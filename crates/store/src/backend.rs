@@ -1,14 +1,15 @@
 //! Runtime ownership and RAM/disk dispatch.
 //!
 //! A [`StoreRuntime`] owns the directory the store files live in, hands
-//! out file paths, and aggregates every page cache's statistics into one
-//! [`StoreReport`]. [`AnyPostings`] and [`AnyForward`] are the per-run
+//! out file paths, and owns the one [`PagePool`] every file it hosts
+//! reads through, whose counters make its [`StoreReport`].
+//! [`AnyPostings`] and [`AnyForward`] are the per-run
 //! switch between the in-RAM indexes of `smartcrawl-index` and the paged
 //! disk backends of this crate: call sites hold the enum and never know
 //! which side they are on. [`IndexBackendConfig`] is the user-facing
 //! knob the bench harness threads through a run spec.
 
-use crate::cache::SharedStats;
+use crate::cache::PagePool;
 use crate::forward::DiskForwardIndex;
 use crate::inverted::DiskInvertedIndex;
 use crate::{Result, StoreConfig, StoreReport, StoreStats};
@@ -18,8 +19,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Distinguishes runtimes created by one process (temp-dir naming without
-/// the wall clock).
+/// Distinguishes runtimes created by one process (temp-dir and file
+/// naming without the wall clock).
 static RUNTIME_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Which index backend a run uses.
@@ -47,36 +48,42 @@ impl IndexBackendConfig {
     }
 }
 
-/// Owner of one run's store files: the directory, the page-cache budget
-/// split, and the shared statistics. Dropping the runtime removes the
-/// directory if the runtime created it.
+/// Owner of one run's store files: the directory and the page pool all
+/// of them share. Dropping the runtime removes the directory if the
+/// runtime created it.
 #[derive(Debug)]
 pub struct StoreRuntime {
     dir: PathBuf,
     owned: bool,
     config: StoreConfig,
-    stats: Arc<SharedStats>,
+    /// `{process id}-{runtime number}`: names the temp dir and every file,
+    /// so runtimes sharing a pinned directory never collide.
+    name: String,
+    pool: Arc<PagePool>,
     file_seq: AtomicU64,
 }
 
 impl StoreRuntime {
     /// Creates the backing directory (a fresh one under the system temp
-    /// dir unless [`StoreConfig::dir`] pins it).
+    /// dir unless [`StoreConfig::dir`] pins it) and the page pool of
+    /// [`StoreConfig::cache_pages`] pages.
     pub fn create(config: StoreConfig) -> Result<Arc<Self>> {
+        let seq = RUNTIME_SEQ.fetch_add(1, Ordering::Relaxed);
+        let name = format!("{}-{seq}", std::process::id());
         let (dir, owned) = match &config.dir {
             Some(dir) => (dir.clone(), false),
             None => {
-                let seq = RUNTIME_SEQ.fetch_add(1, Ordering::Relaxed);
-                let name = format!("smartcrawl-store-{}-{seq}", std::process::id());
-                (std::env::temp_dir().join(name), true)
+                let dir = std::env::temp_dir().join(format!("smartcrawl-store-{name}"));
+                (dir, true)
             }
         };
         std::fs::create_dir_all(&dir)?;
         Ok(Arc::new(Self {
             dir,
             owned,
+            pool: Arc::new(PagePool::new(config.cache_pages)),
             config,
-            stats: Arc::new(SharedStats::default()),
+            name,
             file_seq: AtomicU64::new(0),
         }))
     }
@@ -91,31 +98,21 @@ impl StoreRuntime {
         &self.dir
     }
 
-    /// A fresh file path under the runtime's directory.
+    /// A fresh file path under the runtime's directory, named
+    /// `{tag}-{process id}-{runtime number}-{file number}.pages`.
     pub fn file_path(&self, tag: &str) -> PathBuf {
         let seq = self.file_seq.fetch_add(1, Ordering::Relaxed);
-        self.dir.join(format!("{tag}-{seq}.pages"))
+        self.dir.join(format!("{tag}-{}-{seq}.pages", self.name))
     }
 
-    /// The counters every cache created from this runtime feeds into.
-    pub fn shared_stats(&self) -> Arc<SharedStats> {
-        Arc::clone(&self.stats)
+    /// The page pool every file of this runtime reads through.
+    pub fn pool(&self) -> &Arc<PagePool> {
+        &self.pool
     }
 
-    /// Cache budget of one inverted-index shard: half the total budget
-    /// split across shards (the other half goes to the forward index).
-    pub fn shard_cache_budget(&self) -> usize {
-        (self.config.cache_pages / 2 / self.config.shards.max(1)).max(2)
-    }
-
-    /// Cache budget of the forward index.
-    pub fn forward_cache_budget(&self) -> usize {
-        (self.config.cache_pages / 2).max(2)
-    }
-
-    /// Snapshot of the aggregated cache counters.
+    /// Snapshot of the pool's counters.
     pub fn stats(&self) -> StoreStats {
-        self.stats.snapshot()
+        self.pool.stats()
     }
 
     /// The run-level report: configured bounds plus observed activity.
@@ -241,9 +238,8 @@ impl PostingsBackend for AnyPostings {
 pub enum AnyForward {
     /// The in-RAM CSR index of `smartcrawl-index`.
     Ram(ForwardIndex),
-    /// The paged row store of this crate (boxed: it carries a page cache
-    /// inline, far larger than the RAM variant's three vectors).
-    Disk(Box<DiskForwardIndex>),
+    /// The paged row store of this crate.
+    Disk(DiskForwardIndex),
 }
 
 impl AnyForward {
@@ -260,11 +256,11 @@ impl AnyForward {
                 num_records,
                 query_matches,
             ))),
-            Some(rt) => Ok(AnyForward::Disk(Box::new(DiskForwardIndex::build(
+            Some(rt) => Ok(AnyForward::Disk(DiskForwardIndex::build(
                 num_records,
                 query_matches,
                 rt,
-            )?))),
+            )?)),
         }
     }
 
@@ -370,5 +366,50 @@ mod tests {
         let report = rt.report();
         assert!(report.stats.misses > 0);
         assert!(report.stats.peak_resident_pages > 0);
+    }
+
+    #[test]
+    fn runtimes_sharing_a_pinned_dir_keep_their_own_files() {
+        let dir = std::env::temp_dir().join(format!(
+            "smartcrawl-store-shared-dir-{}",
+            std::process::id()
+        ));
+        let config = StoreConfig {
+            page_size: 64,
+            cache_pages: 4,
+            shards: 2,
+            dir: Some(dir.clone()),
+        };
+        let corpora = [
+            docs(&[&[0, 1], &[1, 2], &[0, 1, 2]]),
+            docs(&[&[2], &[0, 2], &[1], &[0, 1, 2], &[2, 1], &[0]]),
+        ];
+        let runtimes = [
+            StoreRuntime::create(config.clone()).unwrap(),
+            StoreRuntime::create(config).unwrap(),
+        ];
+        // Both indexes are built before either is queried, so a file name
+        // shared by the two runtimes would be truncated under the first.
+        let disks: Vec<AnyPostings> = corpora
+            .iter()
+            .zip(&runtimes)
+            .map(|(corpus, rt)| AnyPostings::build(corpus, 3, Some(rt)).unwrap())
+            .collect();
+        for (corpus, disk) in corpora.iter().zip(&disks) {
+            let ram = AnyPostings::build(corpus, 3, None).unwrap();
+            for q in [[0, 1], [1, 2], [0, 2]].map(|q| q.map(TokenId)) {
+                assert_eq!(disk.matching(&q), ram.matching(&q), "matching {q:?}");
+                assert_eq!(disk.frequency(&q), ram.frequency(&q), "frequency {q:?}");
+            }
+            for t in (0..3).map(TokenId) {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                ram.postings_into(t, &mut a);
+                disk.postings_into(t, &mut b);
+                assert_eq!(a, b, "postings {t:?}");
+            }
+        }
+        drop(disks);
+        drop(runtimes);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -3,10 +3,10 @@
 //! Encoded posting lists and forward rows are variable-length; the blob
 //! layer writes them back to back across page payloads (a list freely
 //! straddles page boundaries) and addresses each one with a compact
-//! [`Locator`]. Reads go through the page cache, so only the touched
-//! pages of a multi-gigabyte file are ever resident.
+//! [`Locator`]. Reads go through the runtime's page pool, so only the
+//! touched pages of a multi-gigabyte file are ever resident.
 
-use crate::cache::{PageCache, SharedStats};
+use crate::cache::PagePool;
 use crate::file::{PagedReader, PagedWriter};
 use crate::format::invalid_data;
 use crate::{Result, StoreError};
@@ -82,25 +82,30 @@ impl BlobWriter {
     }
 }
 
-/// Cached reader of a finished blob file.
+/// Reader of a finished blob file through a shared page pool.
 #[derive(Debug)]
 pub struct BlobReader {
-    cache: PageCache,
+    reader: PagedReader,
+    /// This file's key in the pool.
+    file: u64,
+    pool: Arc<PagePool>,
 }
 
 impl BlobReader {
-    /// Opens (and validates) the blob file at `path` behind a page cache
-    /// of at most `budget_pages` resident pages.
-    pub fn open(path: &Path, budget_pages: usize, stats: Arc<SharedStats>) -> Result<Self> {
-        let reader = PagedReader::open(path)?;
+    /// Opens (and validates) the blob file at `path`, caching its pages
+    /// in `pool`.
+    pub fn open(path: &Path, pool: &Arc<PagePool>) -> Result<Self> {
         Ok(Self {
-            cache: PageCache::new(reader, budget_pages, stats),
+            reader: PagedReader::open(path)?,
+            file: pool.file_id(),
+            pool: Arc::clone(pool),
         })
     }
 
     /// Reads the run at `loc` into `out` (replacing its contents).
-    pub fn read(&mut self, loc: Locator, out: &mut Vec<u8>) -> Result<()> {
-        self.cache.read_span(loc.off, loc.len as usize, out)
+    pub fn read(&self, loc: Locator, out: &mut Vec<u8>) -> Result<()> {
+        self.pool
+            .read_span(self.file, &self.reader, loc.off, loc.len as usize, out)
     }
 }
 
@@ -130,8 +135,7 @@ mod tests {
         let locs: Vec<Locator> = runs.iter().map(|r| w.append(r).unwrap()).collect();
         w.finish().unwrap();
 
-        let stats = Arc::new(SharedStats::default());
-        let mut r = BlobReader::open(&path, 2, stats).unwrap();
+        let r = BlobReader::open(&path, &Arc::new(PagePool::new(2))).unwrap();
         let mut out = Vec::new();
         // Read out of order to exercise cache churn.
         for &i in &[3usize, 0, 2, 1, 0, 3] {
@@ -147,7 +151,7 @@ mod tests {
         let mut w = BlobWriter::create(&path, 32).unwrap();
         w.append(b"abc").unwrap();
         w.finish().unwrap();
-        let mut r = BlobReader::open(&path, 2, Arc::new(SharedStats::default())).unwrap();
+        let r = BlobReader::open(&path, &Arc::new(PagePool::new(2))).unwrap();
         let mut out = Vec::new();
         assert!(r.read(Locator { off: 1000, len: 10 }, &mut out).is_err());
         std::fs::remove_file(&path).ok();

@@ -28,7 +28,8 @@
 
 use crate::format::{fnv1a, invalid_data, page_checksum};
 use crate::{Result, StoreError};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Versioned magic line opening every paged file.
@@ -137,24 +138,23 @@ impl PagedWriter {
     }
 }
 
-/// Validating reader over a finished paged file.
+/// Validating reader over a finished paged file. Reads are positioned
+/// (`pread`), so one reader serves any number of threads through `&self`.
 #[derive(Debug)]
 pub struct PagedReader {
     file: std::fs::File,
     path: PathBuf,
     page_size: usize,
     num_pages: u64,
-    /// Reused raw-page read buffer.
-    raw: Vec<u8>,
 }
 
 impl PagedReader {
     /// Opens `path`, validating magic, header checksum, and file length.
     pub fn open(path: &Path) -> Result<Self> {
-        let mut file = std::fs::File::open(path)?;
+        let file = std::fs::File::open(path)?;
         let mut head = vec![0u8; HEADER_SPAN];
         let corrupt = |detail: &str| StoreError::corrupt(path, detail);
-        file.read_exact(&mut head)
+        file.read_exact_at(&mut head, 0)
             .map_err(|_| corrupt("file shorter than its header"))?;
         if !head.starts_with(MAGIC) {
             return Err(corrupt("not a smartcrawl paged file (bad magic)"));
@@ -182,7 +182,6 @@ impl PagedReader {
             path: path.to_path_buf(),
             page_size,
             num_pages,
-            raw: Vec::new(),
         })
     }
 
@@ -207,22 +206,22 @@ impl PagedReader {
     }
 
     /// Reads page `page` into `out` (payload only), verifying its length
-    /// and checksum. Corruption is a clean error.
-    pub fn read_page(&mut self, page: u64, out: &mut Vec<u8>) -> Result<()> {
+    /// and checksum. Corruption is a clean error, after which `out`
+    /// holds unspecified bytes. The raw page lands in `out` itself and
+    /// the payload is shifted down over its header, so no second buffer
+    /// is needed.
+    pub fn read_page(&self, page: u64, out: &mut Vec<u8>) -> Result<()> {
         if page >= self.num_pages {
             return Err(StoreError::corrupt(
                 &self.path,
                 "page index beyond page count",
             ));
         }
-        self.file.seek(SeekFrom::Start(
-            HEADER_SPAN as u64 + page * self.page_size as u64,
-        ))?;
-        self.raw.resize(self.page_size, 0);
+        out.resize(self.page_size, 0);
         self.file
-            .read_exact(&mut self.raw)
+            .read_exact_at(out, HEADER_SPAN as u64 + page * self.page_size as u64)
             .map_err(|_| StoreError::corrupt(&self.path, "short read inside a page"))?;
-        let len = le_u32(&self.raw, 0)
+        let len = le_u32(out, 0)
             .ok_or_else(|| StoreError::corrupt(&self.path, "page header truncated"))?
             as usize;
         if len > self.payload_capacity() {
@@ -231,17 +230,16 @@ impl PagedReader {
                 "page declares impossible payload length",
             ));
         }
-        let declared_sum = le_u64(&self.raw, 4)
+        let declared_sum = le_u64(out, 4)
             .ok_or_else(|| StoreError::corrupt(&self.path, "page header truncated"))?;
-        let payload = self
-            .raw
+        let payload = out
             .get(PAGE_HEADER_LEN..PAGE_HEADER_LEN + len)
             .ok_or_else(|| StoreError::corrupt(&self.path, "page payload truncated"))?;
         if page_checksum(payload) != declared_sum {
             return Err(StoreError::corrupt(&self.path, "page checksum mismatch"));
         }
-        out.clear();
-        out.extend_from_slice(payload);
+        out.copy_within(PAGE_HEADER_LEN..PAGE_HEADER_LEN + len, 0);
+        out.truncate(len);
         Ok(())
     }
 }
@@ -267,7 +265,7 @@ mod tests {
         assert_eq!(w.append_page(b"").unwrap(), 2);
         w.finish().unwrap();
 
-        let mut r = PagedReader::open(&path).unwrap();
+        let r = PagedReader::open(&path).unwrap();
         assert_eq!(r.num_pages(), 3);
         assert_eq!(r.page_size(), 64);
         let mut out = Vec::new();

@@ -4,7 +4,7 @@
 //! codec — query ids within a row ascend) and appended to one blob file
 //! in record-id order. Per-record [`Locator`]s stay in RAM (12 bytes per
 //! record), so a removal batch reads exactly the rows it touches through
-//! the page cache instead of holding `Σ|F(d)|` query ids resident.
+//! the page pool instead of holding `Σ|F(d)|` query ids resident.
 //!
 //! The build is chunked: `query_matches` is the per-query match-set view
 //! (query → records), so rows are assembled for a window of 2¹⁶ records
@@ -18,19 +18,9 @@ use crate::postings::{decode_postings_into, encode_postings};
 use crate::{expect_store, Result, StoreError};
 use smartcrawl_index::QueryId;
 use smartcrawl_text::RecordId;
-use std::sync::Mutex;
 
 /// Records per build window.
 const BUILD_CHUNK: usize = 1 << 16;
-
-#[derive(Debug)]
-struct ForwardReader {
-    blob: BlobReader,
-    /// Encoded-row scratch.
-    buf: Vec<u8>,
-    /// Decoded-row scratch.
-    ids: Vec<u32>,
-}
 
 /// The disk-backed counterpart of `smartcrawl_index::ForwardIndex`.
 #[derive(Debug)]
@@ -40,7 +30,7 @@ pub struct DiskForwardIndex {
     total_incidences: usize,
     /// Per-record row locator, indexed by record id.
     locs: Vec<Locator>,
-    reader: Mutex<ForwardReader>,
+    blob: BlobReader,
 }
 
 impl DiskForwardIndex {
@@ -86,21 +76,12 @@ impl DiskForwardIndex {
             lo = hi;
         }
         writer.finish()?;
-        let blob = BlobReader::open(
-            &path,
-            runtime.forward_cache_budget(),
-            runtime.shared_stats(),
-        )?;
         Ok(Self {
             num_records,
             num_queries: query_matches.len(),
             total_incidences: total,
             locs,
-            reader: Mutex::new(ForwardReader {
-                blob,
-                buf: Vec::new(),
-                ids: Vec::new(),
-            }),
+            blob: BlobReader::open(&path, runtime.pool())?,
         })
     }
 
@@ -126,11 +107,10 @@ impl DiskForwardIndex {
         let Some(&loc) = self.locs.get(rid.index()) else {
             return;
         };
-        let mut guard = self.reader.lock().unwrap_or_else(|p| p.into_inner());
-        let ForwardReader { blob, buf, ids } = &mut *guard;
-        expect_store(blob.read(loc, buf), "forward row read");
+        let (mut buf, mut ids) = (Vec::new(), Vec::new());
+        expect_store(self.blob.read(loc, &mut buf), "forward row read");
         expect_store(
-            decode_postings_into(buf, ids)
+            decode_postings_into(&buf, &mut ids)
                 .ok_or_else(|| StoreError::Io(invalid_data("undecodable forward row"))),
             "forward row decode",
         );

@@ -22,23 +22,11 @@ use crate::postings::{decode_postings_into, encode_postings, PostingCursor};
 use crate::{expect_store, Result, StoreError};
 use smartcrawl_par::par_map;
 use smartcrawl_text::{Document, RecordId, TokenId};
-use std::sync::Mutex;
 
 /// Error for an encoded list that passed page checksums yet fails to
 /// decode — only reachable through a logic bug, kept as a clean error.
 fn undecodable() -> StoreError {
     StoreError::Io(invalid_data("undecodable posting list"))
-}
-
-/// Mutable read-side scratch of one shard (behind its lock): the blob
-/// reader with its page cache plus reusable decode buffers.
-#[derive(Debug)]
-struct ShardReader {
-    blob: BlobReader,
-    /// Per-query-token encoded-list buffers.
-    bufs: Vec<Vec<u8>>,
-    /// Decoded seed (rarest) list.
-    seed: Vec<u32>,
 }
 
 /// One contiguous record-id range of the index.
@@ -48,7 +36,7 @@ struct Shard {
     locs: Vec<Locator>,
     /// Per-token in-range document frequency.
     counts: Vec<u32>,
-    reader: Mutex<ShardReader>,
+    blob: BlobReader,
 }
 
 impl Shard {
@@ -73,30 +61,33 @@ impl Shard {
         }
         // Rarest-first; token id breaks count ties deterministically.
         toks.sort_unstable_by_key(|&(c, t)| (c, t.index()));
-        let mut guard = self.reader.lock().unwrap_or_else(|p| p.into_inner());
-        let ShardReader { blob, bufs, seed } = &mut *guard;
-        if bufs.len() < toks.len() {
-            bufs.resize_with(toks.len(), Vec::new);
-        }
-        for (buf, &(_, t)) in bufs.iter_mut().zip(&toks) {
-            expect_store(blob.read(self.loc_of(t), buf), "posting list read");
-        }
+        let bufs: Vec<Vec<u8>> = toks
+            .iter()
+            .map(|&(_, t)| {
+                let mut buf = Vec::new();
+                expect_store(
+                    self.blob.read(self.loc_of(t), &mut buf),
+                    "posting list read",
+                );
+                buf
+            })
+            .collect();
         let Some((seed_buf, rest)) = bufs.split_first() else {
             return;
         };
+        let mut seed = Vec::new();
         expect_store(
-            decode_postings_into(seed_buf, seed).ok_or_else(undecodable),
+            decode_postings_into(seed_buf, &mut seed).ok_or_else(undecodable),
             "posting list decode",
         );
-        if toks.len() == 1 {
-            for &id in seed.iter() {
+        if rest.is_empty() {
+            for &id in &seed {
                 emit(id);
             }
             return;
         }
         let mut cursors: Vec<PostingCursor<'_>> = rest
             .iter()
-            .take(toks.len() - 1)
             .map(|buf| {
                 expect_store(
                     PostingCursor::new(buf).ok_or_else(undecodable),
@@ -104,7 +95,7 @@ impl Shard {
                 )
             })
             .collect();
-        'cand: for &id in seed.iter() {
+        'cand: for &id in &seed {
             for cursor in cursors.iter_mut() {
                 match cursor.advance_to(id) {
                     // A drained cursor means no larger candidate can match.
@@ -138,7 +129,6 @@ impl DiskInvertedIndex {
         let per_shard = n.div_ceil(num_shards).max(1);
         let mut df = vec![0u32; vocab_size];
         let mut shards = Vec::with_capacity(num_shards);
-        let budget = runtime.shard_cache_budget();
         // Per-token posting accumulators and the varint scratch buffer,
         // allocated once and reused (cleared) across shards, so building
         // `num_shards` shards does not pay `num_shards × vocab_size`
@@ -176,16 +166,10 @@ impl DiskInvertedIndex {
                 ids.clear();
             }
             writer.finish()?;
-            let blob = BlobReader::open(&path, budget, runtime.shared_stats())?;
             shards.push(Shard {
                 locs,
                 counts,
-                reader: Mutex::new(ShardReader {
-                    blob,
-                    // Shard-owned scratch, zero-capacity until first read.
-                    bufs: Vec::new(), // lint:allow(hot-path-alloc) Vec::new allocates nothing; filled lazily per query
-                    seed: Vec::new(), // lint:allow(hot-path-alloc) Vec::new allocates nothing; filled lazily per query
-                }),
+                blob: BlobReader::open(&path, runtime.pool())?,
             });
         }
         Ok(Self {
@@ -214,9 +198,8 @@ impl DiskInvertedIndex {
             if shard.count_of(token) == 0 {
                 continue;
             }
-            let mut guard = shard.reader.lock().unwrap_or_else(|p| p.into_inner());
             expect_store(
-                guard.blob.read(shard.loc_of(token), &mut buf),
+                shard.blob.read(shard.loc_of(token), &mut buf),
                 "posting list read",
             );
             expect_store(

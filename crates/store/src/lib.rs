@@ -12,10 +12,11 @@
 //!   discipline). Every page carries a word-parallel checksum
 //!   ([`format::page_checksum`]) that each read verifies; truncation or
 //!   bit-rot surfaces as a clean [`StoreError::Corrupt`], never a panic.
-//! * [`cache`] — a fixed-budget page cache with pinned/LRU eviction over
-//!   an intrusive recency list: O(1) per access, and the eviction order
-//!   is a pure function of the access sequence, *never* the wall clock,
-//!   so cached reads stay deterministic.
+//! * [`cache`] — the [`PagePool`]: one fixed page budget per runtime,
+//!   shared by all its files, with pinned/LRU eviction over one intrusive
+//!   [`RecencyList`] of (file, page) frames: O(1) per access, and the
+//!   eviction order is a pure function of the access sequence, *never*
+//!   the wall clock, so cached reads stay deterministic.
 //! * [`postings`] — delta- plus varint-encoded posting lists with skip
 //!   entries every [`postings::SKIP_INTERVAL`] elements, enabling
 //!   galloping intersection over encoded lists without full decode.
@@ -28,8 +29,7 @@
 //!   record-id ranges, so concatenation in shard order *is* the sorted
 //!   union), and a paged CSR forward index.
 //! * [`backend`] — the [`AnyPostings`]/[`AnyForward`] dispatch enums and
-//!   the [`StoreRuntime`] owning the on-disk files, their cache budget,
-//!   and shared access statistics.
+//!   the [`StoreRuntime`] owning the on-disk files and their page pool.
 //!
 //! Both backends implement the `smartcrawl-index` backend traits; a
 //! conjunctive query's match set is a set intersection — unique — so the
@@ -47,7 +47,7 @@ pub mod postings;
 
 pub use backend::{AnyForward, AnyPostings, IndexBackendConfig, StoreRuntime};
 pub use blob::{BlobReader, BlobWriter, Locator};
-pub use cache::{PageCache, SharedStats};
+pub use cache::{PagePool, RecencyList};
 pub use file::{PagedReader, PagedWriter};
 pub use forward::DiskForwardIndex;
 pub use inverted::DiskInvertedIndex;
@@ -130,10 +130,12 @@ pub fn expect_store<T>(r: Result<T>, what: &str) -> T {
 pub struct StoreConfig {
     /// On-disk page size in bytes (payload capacity is 12 bytes less).
     pub page_size: usize,
-    /// Total page-cache budget, in pages, shared by every index the
-    /// runtime hosts. The default is a ~50 MB-class cache
-    /// (12800 × 4 KiB), the resident-memory bound the out-of-core claim
-    /// is about.
+    /// Page-pool budget, in pages: the one bound on resident pages,
+    /// shared by every file the runtime hosts (the recency list decides
+    /// which file's pages stay). Only a single span read wider than the
+    /// budget pushes residency past it, and only until the read ends.
+    /// The default is a ~50 MB-class pool (12800 × 4 KiB), the
+    /// resident-memory bound the out-of-core claim is about.
     pub cache_pages: usize,
     /// Number of horizontal shards for the inverted index (contiguous
     /// record-id ranges queried in parallel).
@@ -155,7 +157,7 @@ impl Default for StoreConfig {
     }
 }
 
-/// A point-in-time snapshot of a runtime's page-cache activity.
+/// A point-in-time snapshot of a runtime's page-pool activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Page requests served from a resident frame.
@@ -164,7 +166,7 @@ pub struct StoreStats {
     pub misses: u64,
     /// Frames evicted to stay inside the cache budget.
     pub evictions: u64,
-    /// Pages currently resident across all caches.
+    /// Frames currently holding a page.
     pub resident_pages: u64,
     /// High-water mark of `resident_pages`.
     pub peak_resident_pages: u64,
@@ -182,17 +184,19 @@ impl StoreStats {
 }
 
 /// What a run reports about its disk backend: the configured bounds plus
-/// the observed cache activity. Attached to `CrawlReport`s by the bench
-/// harness so the out-of-core claim is tracked, not anecdotal.
+/// the observed activity of the runtime's one page pool, so
+/// `stats.peak_resident_pages` is directly comparable with
+/// `cache_budget_pages`. Attached to `CrawlReport`s by the bench harness
+/// so the out-of-core claim is tracked, not anecdotal.
 ///
-/// Cache *statistics* are schedule-dependent when shards are probed from
+/// Pool *statistics* are schedule-dependent when shards are probed from
 /// concurrent workers (hit/miss interleavings vary), so they are reported
 /// but never folded into any result digest.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoreReport {
     /// Configured page size in bytes.
     pub page_size: usize,
-    /// Configured total cache budget in pages.
+    /// Configured page-pool budget in pages.
     pub cache_budget_pages: usize,
     /// Observed cache activity.
     pub stats: StoreStats,

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use smartcrawl_store::file::HEADER_SPAN;
 use smartcrawl_store::format::{fnv1a, page_checksum, FNV_PRIME};
 use smartcrawl_store::postings::{decode_postings_into, encode_postings, PostingCursor};
-use smartcrawl_store::{BlobReader, BlobWriter, PagedReader, PagedWriter, SharedStats, StoreError};
+use smartcrawl_store::{BlobReader, BlobWriter, PagePool, PagedReader, PagedWriter, StoreError};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -68,7 +68,7 @@ proptest! {
         let mut w = BlobWriter::create(&path, 32).expect("create");
         let locs: Vec<_> = runs.iter().map(|r| w.append(r).expect("append")).collect();
         w.finish().expect("finish");
-        let mut r = BlobReader::open(&path, 3, Arc::new(SharedStats::default())).expect("open");
+        let r = BlobReader::open(&path, &Arc::new(PagePool::new(3))).expect("open");
         let mut out = Vec::new();
         // Forward then backward: the backward pass defeats any residual
         // cache warmth from the forward pass.
@@ -98,7 +98,7 @@ proptest! {
         std::fs::write(&path, &full[..keep]).expect("truncate");
         match PagedReader::open(&path) {
             Err(StoreError::Corrupt { .. } | StoreError::Io(_)) => {}
-            Ok(mut reader) => {
+            Ok(reader) => {
                 // Open may succeed if the header survived; the torn page
                 // itself must then fail its read.
                 let mut out = Vec::new();
@@ -134,7 +134,7 @@ proptest! {
         std::fs::write(&path, &bytes).expect("rewrite");
         match PagedReader::open(&path) {
             Err(_) => {} // header rejected the flip
-            Ok(mut reader) => {
+            Ok(reader) => {
                 let mut out = Vec::new();
                 let mut clean = Vec::new();
                 for p in 0..reader.num_pages() {
@@ -203,7 +203,7 @@ fn every_bit_flip_in_a_full_page_reads_back_corrupt() {
         for bit in 0..8 {
             bytes[idx] ^= 1 << bit;
             std::fs::write(&path, &bytes).expect("rewrite");
-            let mut reader = PagedReader::open(&path).expect("header untouched");
+            let reader = PagedReader::open(&path).expect("header untouched");
             let res = reader.read_page(0, &mut out);
             assert!(
                 matches!(res, Err(StoreError::Corrupt { .. })),

@@ -93,6 +93,34 @@ fn disk_world_digest_matches_ram_under_a_query_cache() {
 }
 
 #[test]
+fn peak_residency_stays_within_the_pool_budget() {
+    // One pool per runtime: the staging and spill readers of the build,
+    // the records, postings and aux readers of the crawl, all share the
+    // one budget, and a dropped reader's frames count only while they
+    // hold a page.
+    let disk = Scenario::build_with_store(ScenarioConfig::tiny(14), small_runtime())
+        .expect("stream scenario");
+    let peak = || {
+        let report = disk.hidden.store_report().expect("disk-backed world");
+        (
+            report.stats.peak_resident_pages,
+            report.cache_budget_pages as u64,
+        )
+    };
+    let (after_build, budget) = peak();
+    assert!(
+        after_build <= budget,
+        "after the build: {after_build} > {budget} pages"
+    );
+    run_specs(&disk, &specs());
+    let (after_crawl, budget) = peak();
+    assert!(
+        after_crawl <= budget,
+        "after the crawl: {after_crawl} > {budget} pages"
+    );
+}
+
+#[test]
 fn truncated_hidden_store_file_fails_validation_cleanly() {
     // Pin the store directory so the files outlive the scenario, build a
     // world, then tear the tail off each hidden-store file: the paged
@@ -131,6 +159,9 @@ fn truncated_hidden_store_file_fails_validation_cleanly() {
         );
         checked += 1;
     }
-    assert!(checked >= 3, "expected records + postings + aux files, saw {checked}");
+    assert!(
+        checked >= 3,
+        "expected records + postings + aux files, saw {checked}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
