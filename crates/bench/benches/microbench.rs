@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks for the performance-critical substrates:
 //! posting-list intersection, frequent-pattern mining, pool generation,
-//! the lazy priority queue vs a naive rescan, estimator throughput, and an
-//! end-to-end crawl. Sized to finish in a couple of minutes.
+//! the lazy priority queue vs a naive rescan, estimator throughput,
+//! tokenization of hidden records, and an end-to-end crawl. Sized to
+//! finish in a couple of minutes.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -11,7 +12,7 @@ use smartcrawl_data::{Scenario, ScenarioConfig};
 use smartcrawl_fpm::{apriori, fpgrowth, MinerConfig};
 use smartcrawl_index::{InvertedIndex, LazyQueue, QueryId};
 use smartcrawl_match::Matcher;
-use smartcrawl_text::{Document, TokenId};
+use smartcrawl_text::{Document, TokenId, Tokenizer, Vocabulary};
 use std::hint::black_box;
 
 fn synthetic_corpus(n_docs: usize, vocab: u32, doc_len: usize, seed: u64) -> Vec<Document> {
@@ -198,6 +199,32 @@ fn bench_matching(c: &mut Criterion) {
     });
 }
 
+fn bench_tokenize(c: &mut Criterion) {
+    // Page absorption's per-record cost: one iteration tokenizes the
+    // interface views of 10 000 generated hidden records into a fresh
+    // vocabulary, as a crawl does the first time each record is returned.
+    // The median divided by 10 000 is the per-record time.
+    let scenario = Scenario::build({
+        let mut cfg = ScenarioConfig::tiny(42);
+        cfg.hidden_size = 10_000;
+        cfg.local_size = 100;
+        cfg
+    });
+    let mut views = Vec::with_capacity(scenario.hidden.len());
+    scenario.hidden.for_each_retrieved(|r| views.push(r));
+    let tok = Tokenizer::default();
+    c.bench_function("text/tokenize_fields_hidden_records", |b| {
+        b.iter(|| {
+            let mut vocab = Vocabulary::new();
+            let mut tokens = 0usize;
+            for r in &views {
+                tokens += tok.tokenize_fields(black_box(&r.fields[..]), &mut vocab).len();
+            }
+            black_box(tokens)
+        })
+    });
+}
+
 fn bench_estimators(c: &mut Criterion) {
     use smartcrawl_core::{fisher_nch_mean, Estimator, EstimatorKind};
     let est = Estimator::new(EstimatorKind::Biased, 100, 0.005, 10_000, 500);
@@ -218,6 +245,6 @@ fn bench_estimators(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_inverted_index, bench_fpm, bench_pool_generation, bench_lazy_queue, bench_matching, bench_estimators, bench_end_to_end
+    targets = bench_inverted_index, bench_fpm, bench_pool_generation, bench_lazy_queue, bench_matching, bench_tokenize, bench_estimators, bench_end_to_end
 }
 criterion_main!(benches);

@@ -78,13 +78,6 @@ impl HiddenDbBuilder {
         self
     }
 
-    /// Overrides the tokenizer (must match the one used by clients for the
-    /// conjunctive semantics to be meaningful).
-    pub fn tokenizer(mut self, tokenizer: Tokenizer) -> Self {
-        self.tokenizer = tokenizer;
-        self
-    }
-
     /// Adds records.
     pub fn records(mut self, records: impl IntoIterator<Item = HiddenRecord>) -> Self {
         self.records.extend(records);
@@ -347,18 +340,21 @@ impl HiddenDb {
     /// keyword outside the vocabulary is held by no record: under
     /// conjunctive semantics it empties the whole query, under disjunctive
     /// semantics it matches no posting list and simply drops out. One
-    /// tokenization pass — this sits on the oracle-evaluation hot path,
-    /// where queries are re-scored after every removal.
+    /// tokenization pass that copies no keyword — this sits on the
+    /// oracle-evaluation hot path, where queries are re-scored after every
+    /// removal.
     fn normalize(&self, keywords: &[String], mode: SearchMode) -> Vec<TokenId> {
         let mut tokens: Vec<TokenId> = Vec::new();
+        let mut unknown = false;
         for kw in keywords {
-            for t in self.tokenizer.raw_tokens(kw) {
-                match self.vocab.get(&t) {
+            self.tokenizer
+                .for_each_keyword(kw, |w| match self.vocab.get(w) {
                     Some(id) => tokens.push(id),
-                    None if mode == SearchMode::Conjunctive => return Vec::new(),
-                    None => {}
-                }
-            }
+                    None => unknown = true,
+                });
+        }
+        if unknown && mode == SearchMode::Conjunctive {
+            return Vec::new();
         }
         tokens.sort_unstable();
         tokens.dedup();

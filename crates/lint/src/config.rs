@@ -32,7 +32,8 @@ pub struct Config {
     /// the paged writer that mints the versioned, checksummed header.
     pub io_writer_paths: Vec<String>,
     /// Path prefixes where loop bodies must not allocate (`hot-path-alloc`):
-    /// the selection hot path and the out-of-core store.
+    /// the selection hot path, the out-of-core store, and the keyword
+    /// normalizer every returned hidden record goes through.
     pub hot_alloc_paths: Vec<String>,
     /// Function names whose call sites hand a closure to the deterministic
     /// parallel runtime — the `send-sync-boundary` rule scans the calling
@@ -74,7 +75,11 @@ impl Default for Config {
                 "crates/hidden/src/store.rs".into(),
             ],
             io_writer_paths: vec!["crates/store/src/file.rs".into()],
-            hot_alloc_paths: vec!["crates/core/src/select/".into(), "crates/store/src/".into()],
+            hot_alloc_paths: vec![
+                "crates/core/src/select/".into(),
+                "crates/store/src/".into(),
+                "crates/text/src/tokenizer.rs".into(),
+            ],
             par_entry_points: vec![
                 "par_map".into(),
                 "par_map_indexed".into(),

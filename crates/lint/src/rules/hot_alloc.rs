@@ -1,9 +1,11 @@
 //! `hot-path-alloc`: no per-iteration allocation in the hot loops of
-//! the selection core (`crates/core/src/select/`) and the out-of-core
-//! store (`crates/store/src/`). Inside any `for`/`while`/`loop` body in
-//! those paths (`Config::hot_alloc_paths`), the rule flags
-//! `Vec::new`, `.to_vec()`, `.clone()`, `format!` and `String::from` —
-//! the allocations that turn an O(n) scan into allocator traffic.
+//! the selection core (`crates/core/src/select/`), the out-of-core
+//! store (`crates/store/src/`) and the keyword normalizer
+//! (`crates/text/src/tokenizer.rs`). Inside any `for`/`while`/`loop` body
+//! in those paths (`Config::hot_alloc_paths`), the rule flags
+//! `Vec::new`, `.to_vec()`, `.clone()`, `.to_lowercase()`,
+//! `.to_uppercase()`, `format!` and `String::from` — the allocations that
+//! turn an O(n) scan into allocator traffic.
 //! Buffers get hoisted out of the loop and reused (`clear()` per
 //! iteration); the rare justified allocation carries an inline
 //! `lint:allow(hot-path-alloc)` with the reasoning.
@@ -44,11 +46,15 @@ pub fn check(file: &SourceFile<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
             hot(out, file, tok.line, tok.col, &format!("{}::{what}", tok.text));
             continue;
         }
-        // `. to_vec (` / `. clone (` / `. to_string (` / `. to_owned (`.
+        // `. to_vec (` / `. clone (` / `. to_string (` / `. to_owned (`, and
+        // the case conversions, which return a fresh `String`.
         if i >= 1
             && file.code_tok(i - 1).is_some_and(|t| t.text == ".")
             && t2(1) == Some("(")
-            && matches!(tok.text, "to_vec" | "clone" | "to_string" | "to_owned")
+            && matches!(
+                tok.text,
+                "to_vec" | "clone" | "to_string" | "to_owned" | "to_lowercase" | "to_uppercase"
+            )
         {
             hot(out, file, tok.line, tok.col, &format!(".{}()", tok.text));
             continue;
@@ -105,6 +111,24 @@ mod tests {
         let src =
             "fn f(n: usize) { while n > 0 { let s = String::from(\"x\"); let v = vec![0u8; 4]; } }";
         assert_eq!(diags("crates/store/src/forward.rs", src).len(), 2);
+    }
+
+    #[test]
+    fn case_conversions_in_loop_are_flagged() {
+        // A per-token lowercase in the normalizer's loop: one fresh String
+        // per keyword. The in-place ASCII conversions allocate nothing.
+        let src = "fn f(text: &str, buf: &mut String) { for t in text.split(' ') { \
+                   let a = t.to_lowercase(); let b = t.to_uppercase(); \
+                   buf.make_ascii_lowercase(); t.eq_ignore_ascii_case(&a); } }";
+        let d = diags("crates/text/src/tokenizer.rs", src);
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert!(d.iter().all(|d| d.rule == "hot-path-alloc"));
+        assert!(d[0].message.contains(".to_lowercase()"), "{d:?}");
+        assert!(d[1].message.contains(".to_uppercase()"), "{d:?}");
+        // Outside a loop, and in a file outside the hot paths, they pass.
+        let once = "fn g(t: &str) -> String { t.to_lowercase() }";
+        assert!(diags("crates/text/src/tokenizer.rs", once).is_empty());
+        assert!(diags("crates/text/src/record.rs", src).is_empty());
     }
 
     #[test]

@@ -325,7 +325,7 @@ fn hot_alloc_fixture_is_silent_outside_hot_paths() {
     let (diags, _) = lint_fixture("hot_alloc.rs", "crates/hidden/src/db.rs");
     assert!(
         lines_of(&diags, "hot-path-alloc").is_empty(),
-        "the rule is scoped to select/ and store/: {diags:?}"
+        "the rule is scoped to select/, store/ and the tokenizer: {diags:?}"
     );
 }
 

@@ -1,16 +1,28 @@
-//! Normalization pipeline shared by every index in the system.
+//! The one keyword normalizer, shared by every index in the system.
 //!
 //! The local database, the hidden-database simulator, and the crawler must
 //! agree on what a "keyword" is, otherwise the conjunctive-containment
 //! semantics of Definition 1 silently diverge between the two sides. The
-//! pipeline is: lowercase → split on non-alphanumeric → drop tokens shorter
-//! than `min_token_len` → drop stop words → dedup (set semantics).
+//! pipeline is: split on non-alphanumeric characters → lowercase → drop
+//! stop words → dedup (set semantics).
+//!
+//! Every entry point runs one loop over the pieces of the text. An ASCII
+//! piece is lowercased into a reused buffer, or borrowed as it is when it
+//! holds no capital; a non-ASCII piece goes through `str::to_lowercase`,
+//! which knows the final-sigma rule and the lowercasings that change a
+//! character count. The keyword is then checked against the packed
+//! stop-word table and handed on borrowed, so interning a keyword the
+//! vocabulary already holds allocates nothing. The `tokenize*` entry points
+//! collect ids in a per-thread scratch list and copy them out at exact
+//! size, so a document costs one allocation.
 
 use crate::document::Document;
 use crate::stopwords::is_stopword;
-use crate::vocab::Vocabulary;
+use crate::vocab::{TokenId, Vocabulary};
+use std::cell::RefCell;
 
-/// Configurable tokenizer.
+/// The keyword normalizer. It has one configuration, the paper's (§2
+/// drops stop words from keywords); build it with `Tokenizer::default()`.
 ///
 /// # Examples
 ///
@@ -23,49 +35,93 @@ use crate::vocab::Vocabulary;
 /// // "of" is a stop word; two keywords remain.
 /// assert_eq!(doc.len(), 2);
 /// ```
-#[derive(Debug, Clone)]
-pub struct Tokenizer {
-    /// Remove stop words (paper §2 excludes them from query keywords).
-    pub remove_stopwords: bool,
-    /// Minimum token length in characters; shorter tokens are dropped.
-    pub min_token_len: usize,
+#[derive(Debug, Clone, Default)]
+#[non_exhaustive]
+pub struct Tokenizer;
+
+thread_local! {
+    /// Scratch reused by the `tokenize*` entry points on this thread: the
+    /// lowercase buffer and the ids of the document being built. The
+    /// closures run while it is borrowed only intern or look up keywords,
+    /// so it is never borrowed twice.
+    static SCRATCH: RefCell<(String, Vec<TokenId>)> =
+        const { RefCell::new((String::new(), Vec::new())) };
 }
 
-impl Default for Tokenizer {
-    fn default() -> Self {
-        Self { remove_stopwords: true, min_token_len: 1 }
+/// Calls `f` with each keyword of `text`, in text order, repeats included.
+/// The keyword is borrowed from `text` or from `lower`, which is reused
+/// from piece to piece.
+fn each_keyword(text: &str, lower: &mut String, mut f: impl FnMut(&str)) {
+    for piece in text.split(|c: char| !c.is_alphanumeric()) {
+        if piece.is_empty() {
+            continue;
+        }
+        let word = if !piece.is_ascii() {
+            // lint:allow(hot-path-alloc) non-ASCII pieces are rare, and `str::to_lowercase` keeps the final-sigma rule and multi-character lowercasings
+            *lower = piece.to_lowercase();
+            lower.as_str()
+        } else if piece.bytes().any(|b| b.is_ascii_uppercase()) {
+            lower.clear();
+            lower.push_str(piece);
+            lower.make_ascii_lowercase();
+            lower.as_str()
+        } else {
+            piece
+        };
+        if !is_stopword(word) {
+            f(word);
+        }
     }
 }
 
+/// Runs `fill` on this thread's scratch and returns the ids it pushed as
+/// a document, copied out of the scratch list at exact size.
+fn collect_document(fill: impl FnOnce(&mut String, &mut Vec<TokenId>)) -> Document {
+    SCRATCH.with_borrow_mut(|(lower, ids)| {
+        ids.clear();
+        fill(lower, ids);
+        ids.sort_unstable();
+        ids.dedup();
+        Document::from_sorted(ids.to_vec())
+    })
+}
+
 impl Tokenizer {
-    /// Yields normalized raw keywords (lowercased, filtered) of `text`.
-    pub fn raw_tokens<'a>(&'a self, text: &'a str) -> impl Iterator<Item = String> + 'a {
-        text.split(|c: char| !c.is_alphanumeric())
-            .filter(move |t| t.chars().count() >= self.min_token_len && !t.is_empty())
-            .map(|t| t.to_lowercase())
-            .filter(move |t| !self.remove_stopwords || !is_stopword(t))
+    /// Calls `f` with each keyword of `text` (lowercased, stop words
+    /// dropped), in text order, repeats included. These are the keywords
+    /// [`Tokenizer::tokenize`] interns.
+    pub fn for_each_keyword(&self, text: &str, f: impl FnMut(&str)) {
+        each_keyword(text, &mut String::new(), f);
+    }
+
+    /// The keywords of `text` as owned strings, for callers that keep
+    /// words rather than ids.
+    pub fn raw_tokens(&self, text: &str) -> impl Iterator<Item = String> {
+        let mut words = Vec::new();
+        self.for_each_keyword(text, |w| words.push(w.to_owned()));
+        words.into_iter()
     }
 
     /// Tokenizes `text` into a [`Document`], interning new keywords.
     pub fn tokenize(&self, text: &str, vocab: &mut Vocabulary) -> Document {
-        self.raw_tokens(text).map(|t| vocab.intern(&t)).collect()
+        self.tokenize_fields(&[text], vocab)
     }
 
     /// Tokenizes the concatenation of `fields` (paper: `document(·)`
     /// concatenates all attributes of the record).
     pub fn tokenize_fields<S: AsRef<str>>(&self, fields: &[S], vocab: &mut Vocabulary) -> Document {
-        fields
-            .iter()
-            .flat_map(|f| self.raw_tokens(f.as_ref()).collect::<Vec<_>>())
-            .map(|t| vocab.intern(&t))
-            .collect()
+        collect_document(|lower, ids| {
+            for field in fields {
+                each_keyword(field.as_ref(), lower, |w| ids.push(vocab.intern(w)));
+            }
+        })
     }
 
     /// Tokenizes without interning: keywords not already in `vocab` are
     /// dropped. Used when probing an existing index with foreign text —
     /// an unseen keyword cannot match anything in the index anyway.
     pub fn tokenize_known(&self, text: &str, vocab: &Vocabulary) -> Document {
-        self.raw_tokens(text).filter_map(|t| vocab.get(&t)).collect()
+        collect_document(|lower, ids| each_keyword(text, lower, |w| ids.extend(vocab.get(w))))
     }
 }
 
@@ -92,14 +148,6 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert!(v.get("the").is_none());
         assert!(v.get("of").is_none());
-    }
-
-    #[test]
-    fn stopword_removal_can_be_disabled() {
-        let tok = Tokenizer { remove_stopwords: false, ..Tokenizer::default() };
-        let mut v = Vocabulary::new();
-        let d = tok.tokenize("the of lotus", &mut v);
-        assert_eq!(d.len(), 3);
     }
 
     #[test]
@@ -133,18 +181,19 @@ mod tests {
     }
 
     #[test]
-    fn min_token_len_filters_short_tokens() {
-        let tok = Tokenizer { min_token_len: 3, ..Tokenizer::default() };
-        let mut v = Vocabulary::new();
-        let d = tok.tokenize("db x conf", &mut v);
-        assert_eq!(d.len(), 1); // only "conf" has ≥ 3 chars
-    }
-
-    #[test]
     fn empty_and_punctuation_only_text_yields_empty_document() {
         let tok = Tokenizer::default();
         let mut v = Vocabulary::new();
         assert!(tok.tokenize("", &mut v).is_empty());
         assert!(tok.tokenize("--- ... !!!", &mut v).is_empty());
+    }
+
+    #[test]
+    fn non_ascii_pieces_keep_unicode_lowercasing() {
+        let tok = Tokenizer::default();
+        // Final sigma, a two-character lowercasing, and a capital whose
+        // lowercase is ASCII.
+        let words: Vec<_> = tok.raw_tokens("ΟΔΟΣ İstanbul \u{212A}ING").collect();
+        assert_eq!(words, ["οδο\u{3c2}", "i\u{307}stanbul", "king"]);
     }
 }
