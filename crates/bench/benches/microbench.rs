@@ -9,7 +9,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use smartcrawl_bench::harness::{run_approach, Approach, RunSpec};
 use smartcrawl_core::{LocalDb, PoolConfig, QueryPool, TextContext};
 use smartcrawl_data::{Scenario, ScenarioConfig};
-use smartcrawl_fpm::{apriori, fpgrowth, MinerConfig};
+use smartcrawl_fpm::{apriori, mine, MinerConfig};
 use smartcrawl_index::{InvertedIndex, LazyQueue, QueryId};
 use smartcrawl_match::Matcher;
 use smartcrawl_text::{Document, TokenId, Tokenizer, Vocabulary};
@@ -55,8 +55,8 @@ fn bench_inverted_index(c: &mut Criterion) {
 fn bench_fpm(c: &mut Criterion) {
     let corpus = synthetic_corpus(1_000, 300, 8, 2);
     let cfg = MinerConfig::new(2, 2);
-    c.bench_function("fpm/fpgrowth_1k_docs", |b| {
-        b.iter(|| black_box(fpgrowth(black_box(&corpus), cfg)))
+    c.bench_function("fpm/vertical_1k_docs", |b| {
+        b.iter(|| black_box(mine(black_box(&corpus), cfg)))
     });
     c.bench_function("fpm/apriori_1k_docs", |b| {
         b.iter(|| black_box(apriori(black_box(&corpus), cfg)))

@@ -558,9 +558,10 @@ impl QuerySource for EngineSource<'_> {
         if self.engine.live_count() == 0 {
             return Vec::new();
         }
-        // A real top-m peek: the engine pops (recomputing stale
-        // priorities), remembers, and restores — the next `next_query`
-        // sees an untouched pool, so hints are forecasts, not claims.
+        // A real top-m peek: the engine walks its queue (recomputing the
+        // stale priorities it meets) without changing it — the next
+        // `next_query` sees an untouched pool, so hints are forecasts, not
+        // claims.
         self.engine
             .peek_top(m)
             .into_iter()

@@ -1,6 +1,7 @@
 //! The local database `D` and matching returned pages against it.
 
 use crate::context::TextContext;
+use smartcrawl_index::QueryId;
 use smartcrawl_match::Matcher;
 use smartcrawl_store::{AnyForward, AnyPostings, IndexBackendConfig, StoreReport, StoreRuntime};
 use smartcrawl_text::similarity::jaccard;
@@ -9,8 +10,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The indexed local database: records, their documents, and an inverted
-/// index for query-frequency computation (`|q(D)|`, paper Fig. 3(a)).
-/// The index is either RAM-resident (the default) or the paged on-disk
+/// index for query-frequency computation (`|q(D)|`, paper Fig. 3(a)) and
+/// fuzzy page matching; the pool takes its `q(D)` lists from the miner
+/// instead. The index is either RAM-resident (the default) or the paged on-disk
 /// backend of `smartcrawl-store`, selected per run via
 /// [`IndexBackendConfig`]; both produce identical match sets, so every
 /// caller is backend-oblivious.
@@ -92,12 +94,13 @@ impl LocalDb {
 
     /// Builds the forward index (record → queries) on the same backend as
     /// the inverted index, so a disk-backed run keeps `Σ|F(d)|` on disk
-    /// too.
-    pub fn build_forward(
+    /// too. `matches(q)` is `q(D)` of pool query `q < num_queries`.
+    pub fn build_forward<'a>(
         &self,
-        query_matches: &[Vec<RecordId>],
+        num_queries: usize,
+        matches: impl Fn(QueryId) -> &'a [RecordId],
     ) -> Result<AnyForward, smartcrawl_store::StoreError> {
-        AnyForward::build(self.len(), query_matches, self.store.as_deref())
+        AnyForward::build(self.len(), num_queries, matches, self.store.as_deref())
     }
 
     /// Page-cache activity of the disk backend (`None` on the RAM path).

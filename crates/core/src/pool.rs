@@ -6,14 +6,22 @@
 //!   document (what NaiveCrawl would issue), so every record has at least
 //!   one query able to reach it;
 //! * **Frequent queries** — keyword sets occurring in at least `t` local
-//!   records (default `t = 2`), mined with FP-Growth, capped at
-//!   `max_len` keywords (see `smartcrawl-fpm` docs for why the cap exists);
+//!   records (default `t = 2`), mined by `smartcrawl-fpm`'s vertical miner,
+//!   capped at `max_len` keywords (see `smartcrawl-fpm` docs for why the
+//!   cap exists);
 //! * **Dominance pruning** — `q1` dominates `q2` iff `|q1(D)| = |q2(D)|`
 //!   and `q1 ⊇ q2`; dominated queries are redundant (same local reach,
 //!   fewer keywords ⇒ no more selective on the hidden side). We prune by
 //!   the immediate-superset rule: a mined set is dropped when some mined
-//!   one-keyword extension has the same support. By downward closure this
-//!   catches all dominations within the mined lattice.
+//!   one-keyword extension has the same support, i.e. when every record
+//!   of its `q(D)` holds a further keyword and the extension fits in
+//!   `max_len`. By downward closure this catches all dominations within
+//!   the mined lattice.
+//!
+//! Every query's `q(D)` comes from the same pass that found it: the miner
+//! keeps each mined set's record list, and a naive query's list is its
+//! rarest keyword's list filtered by containment. The local index is never
+//! consulted. The lists are held in pool order as one CSR buffer.
 //!
 //! The pool is shuffled once (seeded) so that equal-benefit ties during
 //! selection break pseudo-randomly, as in the paper, while staying
@@ -23,11 +31,10 @@ use crate::context::TextContext;
 use crate::local::LocalDb;
 use crate::query::Query;
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
-use smartcrawl_fpm::{fpgrowth, MinerConfig};
-use smartcrawl_par::{par_chunks, par_map};
+use smartcrawl_fpm::{mine, MinerConfig, RecordLists};
 use smartcrawl_index::QueryId;
-use smartcrawl_text::{RecordId, TokenId};
-use std::collections::{HashMap, HashSet};
+use smartcrawl_text::{Document, RecordId, TokenId};
+use std::collections::HashSet;
 
 /// Pool-generation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -85,8 +92,8 @@ pub struct PoolStats {
 #[derive(Debug)]
 pub struct QueryPool {
     queries: Vec<Query>,
-    /// `q(D)` at build time, per query (sorted record ids).
-    matches: Vec<Vec<RecordId>>,
+    /// `q(D)` at build time, per query in pool order (sorted record ids).
+    matches: RecordLists,
     stats: PoolStats,
 }
 
@@ -94,77 +101,62 @@ impl QueryPool {
     /// Generates the pool for a local database (see module docs).
     pub fn generate(local: &LocalDb, cfg: &PoolConfig) -> Self {
         assert!(cfg.min_support >= 1 && cfg.max_len >= 1, "invalid pool config");
+        let docs = local.docs();
 
-        // -- Frequent queries (second principle). --------------------------
-        let mined = fpgrowth(local.docs(), MinerConfig::new(cfg.min_support, cfg.max_len));
-        // Dominance pruning via immediate supersets: support → set lookup.
-        let support_of: HashMap<&[TokenId], usize> =
-            mined.iter().map(|s| (s.items.as_slice(), s.support)).collect();
-        // Probing is embarrassingly parallel: each mined set's immediate
-        // subsets are checked independently, and the result is merged into
-        // a set queried only via `contains`, so chunk order is immaterial.
-        // One scratch buffer per chunk replaces the per-(set, drop) Vec the
-        // sequential version allocated.
-        let dominated: HashSet<&[TokenId]> = par_chunks(&mined, |_, chunk| {
-            let mut sub: Vec<TokenId> = Vec::new();
-            let mut found: Vec<&[TokenId]> = Vec::new();
-            for set in chunk {
-                if set.items.len() < 2 {
-                    continue;
-                }
-                for drop in 0..set.items.len() {
-                    sub.clear();
-                    sub.extend(
-                        set.items.iter().enumerate().filter(|&(i, _)| i != drop).map(|(_, &t)| t),
-                    );
-                    if support_of.get(sub.as_slice()) == Some(&set.support) {
-                        // `set` dominates `sub`: same |q(D)|, superset keywords.
-                        if let Some((key, _)) = support_of.get_key_value(sub.as_slice()) {
-                            found.push(*key);
-                        }
-                    }
-                }
-            }
-            found
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-
-        let mut stats = PoolStats { mined: mined.len(), dominated: dominated.len(), ..Default::default() };
-        let mut seen: HashSet<Vec<TokenId>> = HashSet::new();
-        let mut queries: Vec<Query> = Vec::new();
-        for set in &mined {
-            if dominated.contains(set.items.as_slice()) {
-                continue;
-            }
-            if seen.insert(set.items.clone()) {
-                queries.push(Query::new(set.items.clone()));
+        // -- Frequent queries (second principle), with their q(D). ---------
+        let mined = mine(docs, MinerConfig::new(cfg.min_support, cfg.max_len));
+        let mut stats = PoolStats { mined: mined.sets.len(), ..Default::default() };
+        let mut seen: HashSet<&[TokenId]> = HashSet::new();
+        // Each query travels with its q(D) through the shuffle.
+        let mut entries: Vec<(Query, &[RecordId])> = Vec::new();
+        let mut extra: Vec<TokenId> = Vec::new();
+        for (set, list) in mined.sets.iter().zip(mined.lists.iter()) {
+            // Dominance pruning: a keyword outside `set` held by every
+            // record of q(D) makes a one-keyword extension with the same
+            // support, which the miner found if it fits in `max_len`.
+            if set.items.len() < cfg.max_len && shared_extra(docs, &set.items, list, &mut extra) {
+                stats.dominated += 1;
+            } else if seen.insert(&set.items) {
+                entries.push((Query::new(set.items.clone()), list));
             }
         }
 
         // -- Naive queries (first principle). ------------------------------
-        for i in 0..local.len() {
-            let doc = local.doc(i);
-            if doc.is_empty() {
+        // q(D) of a record's full document: the records holding its rarest
+        // keyword that hold all of its keywords.
+        let mut naive: Vec<Query> = Vec::new();
+        let mut naive_lists = RecordLists::default();
+        for doc in docs {
+            let tokens = doc.tokens();
+            if tokens.is_empty() {
                 continue; // a record with no keywords cannot be queried
             }
-            let tokens = doc.tokens().to_vec();
-            if seen.insert(tokens.clone()) {
-                stats.naive += 1;
-                queries.push(Query::new(tokens));
-            } else {
+            if !seen.insert(tokens) {
                 stats.naive_deduped += 1;
+                continue;
             }
+            let rarest = tokens.iter().map(|t| mined.tokens.get(t.index())).min_by_key(|l| l.len());
+            let holds_all =
+                |r: &RecordId| docs.get(r.index()).is_some_and(|d| d.contains_all(tokens));
+            naive_lists.push(rarest.unwrap_or_default().iter().copied().filter(holds_all));
+            naive.push(Query::from_document(doc));
         }
+        stats.naive = naive.len();
+        entries.extend(naive.into_iter().zip(naive_lists.iter()));
 
         // -- Deterministic shuffle for pseudo-random tie-breaking. ----------
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        queries.shuffle(&mut rng);
+        entries.shuffle(&mut rng);
 
-        // -- Materialize q(D) per query (independent intersections). --------
-        let matches: Vec<Vec<RecordId>> =
-            par_map(&queries, |q| local.index().matching(q.tokens()));
+        let total = entries.iter().map(|(_, list)| list.len()).sum();
+        let mut matches = RecordLists::with_capacity(entries.len(), total);
+        let queries: Vec<Query> = entries
+            .into_iter()
+            .map(|(query, list)| {
+                matches.push(list.iter().copied());
+                query
+            })
+            .collect();
         debug_assert!(matches.iter().all(|m| !m.is_empty()), "pool queries must have |q(D)| ≥ 1");
 
         Self { queries, matches, stats }
@@ -197,11 +189,11 @@ impl QueryPool {
 
     /// `q(D)` at build time for query `id`.
     pub fn matches(&self, id: QueryId) -> &[RecordId] {
-        &self.matches[id.index()]
+        self.matches.get(id.index())
     }
 
     /// All build-time match sets, pool order.
-    pub fn all_matches(&self) -> &[Vec<RecordId>] {
+    pub fn all_matches(&self) -> &RecordLists {
         &self.matches
     }
 
@@ -214,6 +206,28 @@ impl QueryPool {
     pub fn render(&self, id: QueryId, ctx: &TextContext) -> Vec<String> {
         self.query(id).render(ctx)
     }
+}
+
+/// Whether every record of `list` holds some keyword outside `set`;
+/// `extra` is scratch.
+fn shared_extra(
+    docs: &[Document],
+    set: &[TokenId],
+    list: &[RecordId],
+    extra: &mut Vec<TokenId>,
+) -> bool {
+    let mut records = list.iter().filter_map(|r| docs.get(r.index()));
+    extra.clear();
+    if let Some(first) = records.next() {
+        extra.extend(first.iter().filter(|t| set.binary_search(t).is_err()));
+    }
+    for doc in records {
+        if extra.is_empty() {
+            break;
+        }
+        extra.retain(|&t| doc.contains(t));
+    }
+    !extra.is_empty()
 }
 
 #[cfg(test)]
@@ -305,7 +319,7 @@ mod tests {
         let pool = QueryPool::generate(&db, &PoolConfig::default());
         // Union of q(D) over the pool covers all records (first principle).
         let mut reached = vec![false; db.len()];
-        for m in pool.all_matches() {
+        for m in pool.all_matches().iter() {
             for &RecordId(i) in m {
                 reached[i as usize] = true;
             }

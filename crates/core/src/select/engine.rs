@@ -152,13 +152,14 @@ impl<'a> Engine<'a> {
         // hot path on fig5-scale local databases.
         let freq_hs: Vec<u32> = par_map(pool.queries(), |q| sample.frequency(q.tokens()) as u32);
         let sample_match = sample.local_matches(local, matcher);
-        let matched_cnt: Vec<u32> = par_map(pool.all_matches(), |m| {
+        let matched_cnt: Vec<u32> = par_map_indexed(pool.queries(), |i, _| {
+            let m = pool.matches(QueryId(i as u32));
             m.iter().filter(|rid| sample_match[rid.index()]).count() as u32
         });
         // Same backend as the inverted index: a disk-backed run keeps the
         // forward rows on disk too. A build failure at this point means
         // the store directory vanished between index and engine setup.
-        let forward = match local.build_forward(pool.all_matches()) {
+        let forward = match local.build_forward(n_queries, |q| pool.matches(q)) {
             Ok(f) => f,
             // lint:allow(panic-freedom) setup-time store failure is fatal by design
             Err(e) => panic!("forward index build failed: {e}"),
@@ -261,33 +262,30 @@ impl<'a> Engine<'a> {
     /// issue, best first, without consuming them — the batch-selection
     /// hook behind [`QuerySource::next_queries`].
     ///
-    /// Pops through a *clone* of the lazy queue, leaving the authoritative
-    /// queue's stored priorities and staleness stamps byte-identical to a
-    /// peek-free run. The obvious cheaper scheme — pop from the real queue
-    /// and push everything back at its recomputed priority — is unsound
-    /// for QSel-Est: a benefit can *rise* when a matched record is removed
-    /// (`matched_cnt` drops while `freq` holds), and with rising
-    /// priorities the pop order depends on *when* dirty entries are
-    /// refreshed, because a dirty entry surfaces for recompute exactly
-    /// when its stale stored priority is the heap maximum. Refreshing at
-    /// peek time would store the lower current value, delay the entry's
-    /// next surfacing, and reorder later pops relative to a peek-free run.
-    /// The clone costs O(|Q|) per peek, on the driver thread only.
-    /// Recomputes on the clone are not counted in `stale_recomputes`, so
-    /// the selection counters match a peek-free run's; the peek's price is
-    /// in the session's `speculation_ns`.
+    /// [`LazyQueue::peek`] walks the queue without changing it, so the
+    /// authoritative queue's stored priorities and staleness stamps stay
+    /// byte-identical to a peek-free run. That matters: the obvious
+    /// cheaper scheme — pop from the real queue and push everything back
+    /// at its recomputed priority — is unsound for QSel-Est. A benefit can
+    /// *rise* when a matched record is removed (`matched_cnt` drops while
+    /// `freq` holds), and with rising priorities the pop order depends on
+    /// *when* dirty entries are refreshed, because a dirty entry surfaces
+    /// for recompute exactly when its stale stored priority is the heap
+    /// maximum. Refreshing at peek time would store the lower current
+    /// value, delay the entry's next surfacing, and reorder later pops
+    /// relative to a peek-free run. The walk recomputes the dirty entries
+    /// it meets, in `pop_max`'s order, and stores nothing. Those
+    /// recomputes are not counted in `stale_recomputes`, so the selection
+    /// counters match a peek-free run's; the peek's price is in the
+    /// session's `speculation_ns`.
     pub(crate) fn peek_top(&mut self, m: usize) -> Vec<QueryId> {
-        let mut hints = Vec::with_capacity(m);
-        let mut queue = self.queue.clone();
-        while hints.len() < m {
-            let next = queue.pop_max(|q| self.priority(q));
-            let Some((qid, prio)) = next else { break };
-            if prio <= 0.0 && !self.strategy.issues_zero_benefit() {
-                continue; // select_next would skip it; not a hint
-            }
-            hints.push(qid);
-        }
-        hints
+        // Taken out for the same reason as in `select_next`.
+        let queue = std::mem::take(&mut self.queue);
+        let zero_ok = self.strategy.issues_zero_benefit();
+        // A zero-benefit entry that select_next would skip is not a hint.
+        let hints = queue.peek(m, |q| self.priority(q), |_, prio| prio > 0.0 || zero_ok);
+        self.queue = queue;
+        hints.into_iter().map(|(qid, _)| qid).collect()
     }
 
     /// Returns a popped query to the pool at its current priority — used
@@ -493,9 +491,10 @@ impl<'a> Engine<'a> {
         let Some(old) = self.estimator else { return };
         self.freq_hs = par_map(self.pool.queries(), |q| sample.frequency(q.tokens()) as u32);
         self.sample_match = sample.local_matches(self.local, self.matcher);
-        let (live, sample_match) = (&self.live, &self.sample_match);
-        self.matched_cnt = par_map(self.pool.all_matches(), |m| {
-            m.iter()
+        let (live, sample_match, pool) = (&self.live, &self.sample_match, &self.pool);
+        self.matched_cnt = par_map_indexed(pool.queries(), |i, _| {
+            pool.matches(QueryId(i as u32))
+                .iter()
                 .filter(|rid| live[rid.index()] && sample_match[rid.index()])
                 .count() as u32
         });
@@ -691,7 +690,8 @@ pub fn probe_engine_setup(
             fold(u64::from(t.0));
         }
     }
-    for m in e.pool.all_matches() {
+    for i in 0..e.pool.len() {
+        let m = e.pool.matches(QueryId(i as u32));
         fold(m.len() as u64);
         for &rid in m {
             fold(u64::from(rid.0));

@@ -1,10 +1,10 @@
 //! Level-wise Apriori miner.
 //!
-//! Kept as a readable reference implementation: FP-Growth is the production
-//! miner; the two are property-tested to agree. Candidate generation is the
-//! classic join-and-prune: two frequent k-itemsets sharing their first
-//! (k−1) items join into a (k+1)-candidate, which survives only if all its
-//! k-subsets are frequent (downward closure).
+//! Kept as a readable reference implementation: the vertical miner is the
+//! production miner; the two are property-tested to agree. Candidate
+//! generation is the classic join-and-prune: two frequent k-itemsets
+//! sharing their first (k−1) items join into a (k+1)-candidate, which
+//! survives only if all its k-subsets are frequent (downward closure).
 
 use crate::{Itemset, MinerConfig};
 use smartcrawl_text::{Document, TokenId};

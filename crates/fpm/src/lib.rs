@@ -3,9 +3,11 @@
 //! SmartCrawl treats every keyword as an item and every local record's
 //! document as a transaction, then mines the keyword sets that occur in at
 //! least `t` records (`|q(D)| ≥ t`, default `t = 2`). The paper uses
-//! FP-Growth [Han et al., SIGMOD 2000]; we implement both FP-Growth and a
-//! level-wise Apriori miner and property-test that they produce identical
-//! output.
+//! FP-Growth [Han et al., SIGMOD 2000]; we mine vertically instead
+//! ([`mine`]): the same sets and supports, plus each set's record list
+//! `q(D)`, which the pool needs next and FP-Growth's tree does not keep.
+//! A level-wise Apriori miner is the readable reference, and the two are
+//! property-tested to agree.
 //!
 //! A `max_len` cap bounds itemset length. Without it, `t = 2` over a corpus
 //! with near-duplicate documents enumerates the full subset lattice of the
@@ -14,11 +16,10 @@
 //! paper's pool on all fixtures. See DESIGN.md §7.
 
 pub mod apriori;
-pub mod fpgrowth;
-mod fptree;
+pub mod vertical;
 
 pub use apriori::apriori;
-pub use fpgrowth::fpgrowth;
+pub use vertical::{mine, Mined, RecordLists};
 
 use smartcrawl_text::TokenId;
 

@@ -1,8 +1,9 @@
-//! Property tests: FP-Growth ≡ Apriori ≡ brute force on random corpora.
+//! Property tests: the vertical miner ≡ Apriori ≡ brute force on random
+//! corpora, and every mined record list ≡ a brute-force scan.
 
 use proptest::prelude::*;
-use smartcrawl_fpm::{apriori, fpgrowth, Itemset, MinerConfig};
-use smartcrawl_text::{Document, TokenId};
+use smartcrawl_fpm::{apriori, mine, Itemset, Mined, MinerConfig};
+use smartcrawl_text::{Document, RecordId, TokenId};
 
 fn corpus_strategy() -> impl Strategy<Value = Vec<Document>> {
     prop::collection::vec(
@@ -40,23 +41,48 @@ fn brute_force(transactions: &[Document], cfg: MinerConfig) -> Vec<Itemset> {
     smartcrawl_fpm::canonicalize(out)
 }
 
+/// Checks that every mined set's list is the ascending ids of the
+/// transactions holding it, and every token's list those holding the
+/// token.
+fn assert_lists_exact(transactions: &[Document], mined: &Mined) {
+    let scan = |items: &[TokenId]| -> Vec<RecordId> {
+        (0..transactions.len())
+            .filter(|&i| transactions[i].contains_all(items))
+            .map(|i| RecordId(i as u32))
+            .collect()
+    };
+    prop_assert_eq!(mined.lists.len(), mined.sets.len());
+    for (set, list) in mined.sets.iter().zip(mined.lists.iter()) {
+        prop_assert_eq!(list, scan(&set.items).as_slice(), "list of {:?}", set.items);
+    }
+    for (t, list) in mined.tokens.iter().enumerate() {
+        prop_assert_eq!(list, scan(&[TokenId(t as u32)]).as_slice(), "list of token {}", t);
+    }
+}
+
 proptest! {
     #[test]
-    fn fpgrowth_equals_apriori(corpus in corpus_strategy(), t in 1usize..4, l in 1usize..5) {
+    fn miner_equals_apriori(corpus in corpus_strategy(), t in 1usize..4, l in 1usize..5) {
         let cfg = MinerConfig::new(t, l);
-        prop_assert_eq!(fpgrowth(&corpus, cfg), apriori(&corpus, cfg));
+        let mined = mine(&corpus, cfg);
+        prop_assert_eq!(&mined.sets, &apriori(&corpus, cfg));
+        assert_lists_exact(&corpus, &mined);
     }
 
     #[test]
-    fn fpgrowth_equals_brute_force(corpus in corpus_strategy(), t in 1usize..4, l in 1usize..5) {
+    fn miner_equals_brute_force(corpus in corpus_strategy(), t in 1usize..4, l in 1usize..5) {
         let cfg = MinerConfig::new(t, l);
-        prop_assert_eq!(fpgrowth(&corpus, cfg), brute_force(&corpus, cfg));
+        let mined = mine(&corpus, cfg);
+        prop_assert_eq!(&mined.sets, &brute_force(&corpus, cfg));
+        assert_lists_exact(&corpus, &mined);
     }
 
     #[test]
     fn all_mined_sets_meet_support_and_length(corpus in corpus_strategy(), t in 1usize..4) {
         let cfg = MinerConfig::new(t, 3);
-        for set in fpgrowth(&corpus, cfg) {
+        let mined = mine(&corpus, cfg);
+        assert_lists_exact(&corpus, &mined);
+        for set in mined.sets {
             prop_assert!(set.items.len() <= cfg.max_len);
             prop_assert!(set.support >= cfg.min_support);
             // Verify the reported support is exact.
@@ -70,7 +96,9 @@ proptest! {
     #[test]
     fn downward_closure_holds(corpus in corpus_strategy()) {
         let cfg = MinerConfig::new(2, 4);
-        let mined = fpgrowth(&corpus, cfg);
+        let mined = mine(&corpus, cfg);
+        assert_lists_exact(&corpus, &mined);
+        let mined = mined.sets;
         let set_index: std::collections::HashSet<&[TokenId]> =
             mined.iter().map(|s| s.items.as_slice()).collect();
         for set in &mined {

@@ -1,75 +1,19 @@
-//! Backend traits: the storage-independent face of the two indexes.
+//! The storage-independent face of the forward index.
 //!
-//! The selection machinery (engine setup, `LazyQueue` refresh, batched
-//! `remove_records`, k-way intersection) only ever needs the *logical*
-//! index operations — posting-list lookups, conjunctive intersection,
-//! forward-list walks. [`PostingsBackend`] and [`ForwardBackend`] capture
-//! exactly that surface so the same call sites run unchanged against the
-//! in-RAM structures of this crate or the paged on-disk substrate of
-//! `smartcrawl-store`, selected per run.
+//! Batched record removal only ever needs forward-list walks, so
+//! [`ForwardBackend`] captures exactly that surface, and
+//! [`remove_records_batch`] — the one coalescing removal path — runs
+//! unchanged against the in-RAM [`ForwardIndex`] of this crate or the
+//! paged on-disk rows of `smartcrawl-store`, selected per run.
 //!
-//! Every method is defined by its *result set*, not its algorithm: a
-//! conjunctive query's match set is a set intersection, which is unique,
-//! so any two correct backends are digest-identical by construction —
-//! that is what makes the RAM-vs-disk acceptance check meaningful.
+//! Every method is defined by its *result*, not its algorithm: `F(d)` is a
+//! set, listed in ascending query-id order by every backend, so any two
+//! correct backends are digest-identical by construction — that is what
+//! makes the RAM-vs-disk acceptance check meaningful.
 
 use crate::forward::{ForwardIndex, RemovalScratch};
-use crate::inverted::InvertedIndex;
 use crate::QueryId;
-use smartcrawl_text::{RecordId, TokenId};
-
-/// Read-only interface of an inverted index over token-set documents.
-///
-/// Match sets are always produced in ascending record-id order, whatever
-/// the backend — callers (pool generation, the engine's `|q(D)|`
-/// bookkeeping) rely on that order being backend-independent.
-pub trait PostingsBackend {
-    /// Number of indexed documents.
-    fn num_docs(&self) -> usize;
-
-    /// Document frequency of a single token (`|I(w)|`).
-    fn doc_frequency(&self, token: TokenId) -> usize;
-
-    /// Appends the posting list `I(w)` to `out` (ascending record ids).
-    /// `out` is *not* cleared — callers accumulate across tokens.
-    fn postings_into(&self, token: TokenId, out: &mut Vec<RecordId>);
-
-    /// Materializes `q(D)`: the sorted ids of all documents containing
-    /// every token of `query`. The empty query matches nothing.
-    fn matching(&self, query: &[TokenId]) -> Vec<RecordId>;
-
-    /// `|q(D)|` without materializing the match set.
-    fn frequency(&self, query: &[TokenId]) -> usize;
-
-    /// Whether at least one document satisfies the query.
-    fn any_match(&self, query: &[TokenId]) -> bool;
-}
-
-impl PostingsBackend for InvertedIndex {
-    fn num_docs(&self) -> usize {
-        InvertedIndex::num_docs(self)
-    }
-
-    fn doc_frequency(&self, token: TokenId) -> usize {
-        InvertedIndex::doc_frequency(self, token)
-    }
-
-    fn postings_into(&self, token: TokenId, out: &mut Vec<RecordId>) {
-        out.extend_from_slice(self.postings(token));
-    }
-
-    fn matching(&self, query: &[TokenId]) -> Vec<RecordId> {
-        InvertedIndex::matching(self, query)
-    }
-
-    fn frequency(&self, query: &[TokenId]) -> usize {
-        InvertedIndex::frequency(self, query)
-    }
-
-    fn any_match(&self, query: &[TokenId]) -> bool {
-        InvertedIndex::any_match(self, query)
-    }
-}
+use smartcrawl_text::RecordId;
 
 /// Read-only interface of a CSR forward index (record → queries it
 /// satisfies). Lists come back in ascending query-id order for every
@@ -167,43 +111,16 @@ pub fn remove_records_batch<B: ForwardBackend + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartcrawl_text::Document;
-
-    fn docs(specs: &[&[u32]]) -> Vec<Document> {
-        specs
-            .iter()
-            .map(|s| Document::from_tokens(s.iter().map(|&t| TokenId(t)).collect()))
-            .collect()
-    }
-
-    #[test]
-    fn ram_postings_backend_delegates() {
-        let idx = InvertedIndex::build(&docs(&[&[0, 1], &[1], &[0, 1, 2]]), 3);
-        let b: &dyn PostingsBackend = &idx;
-        assert_eq!(b.num_docs(), 3);
-        assert_eq!(b.doc_frequency(TokenId(1)), 3);
-        let mut out = Vec::new();
-        b.postings_into(TokenId(0), &mut out);
-        b.postings_into(TokenId(2), &mut out);
-        assert_eq!(out, vec![RecordId(0), RecordId(2), RecordId(2)]);
-        assert_eq!(
-            b.matching(&[TokenId(0), TokenId(1)]),
-            vec![RecordId(0), RecordId(2)]
-        );
-        assert_eq!(b.frequency(&[TokenId(1)]), 3);
-        assert!(b.any_match(&[TokenId(2)]));
-        assert!(!b.any_match(&[]));
-    }
 
     #[test]
     fn generic_removal_matches_inherent_path() {
         // q0 matches {r0, r2}, q1 matches {r1}, q2 matches {r0, r1, r2}.
-        let matches = vec![
+        let matches = [
             vec![RecordId(0), RecordId(2)],
             vec![RecordId(1)],
             vec![RecordId(0), RecordId(1), RecordId(2)],
         ];
-        let f = ForwardIndex::build(3, &matches);
+        let f = ForwardIndex::build(3, matches.len(), |q| &matches[q.index()]);
         let mut scratch = RemovalScratch::default();
         let mut seen = Vec::new();
         let walked = remove_records_batch(

@@ -35,18 +35,22 @@ pub struct ForwardIndex {
 }
 
 impl ForwardIndex {
-    /// Builds the forward index for `num_records` records given, for each
-    /// query, the records it matches (`q(D)` from the inverted index).
+    /// Builds the forward index for `num_records` records from the match
+    /// sets of queries `0..num_queries`: `matches(q)` is `q(D)` of query
+    /// `q`, ascending.
     ///
-    /// `query_matches` is visited in query-id order: `query_matches[q]` is
-    /// the match set of `QueryId(q)`. Two passes: count each record's list
+    /// Two passes over the queries in id order: count each record's list
     /// length, prefix-sum into offsets, then fill — visiting queries in
     /// ascending order a second time leaves every record's slice sorted by
-    /// query id, matching the nested-vec layout this replaces.
-    pub fn build(num_records: usize, query_matches: &[Vec<RecordId>]) -> Self {
+    /// query id.
+    pub fn build<'a>(
+        num_records: usize,
+        num_queries: usize,
+        matches: impl Fn(QueryId) -> &'a [RecordId],
+    ) -> Self {
         let mut offsets = vec![0u32; num_records + 1];
-        for matches in query_matches {
-            for &rid in matches {
+        for q in 0..num_queries {
+            for &rid in matches(QueryId(q as u32)) {
                 offsets[rid.index() + 1] += 1;
             }
         }
@@ -55,9 +59,9 @@ impl ForwardIndex {
         }
         let mut cursor: Vec<u32> = offsets[..num_records].to_vec();
         let mut postings = vec![QueryId(0); offsets[num_records] as usize];
-        for (q, matches) in query_matches.iter().enumerate() {
+        for q in 0..num_queries {
             let qid = QueryId(q as u32);
-            for &rid in matches {
+            for &rid in matches(qid) {
                 let slot = cursor[rid.index()];
                 postings[slot as usize] = qid;
                 cursor[rid.index()] = slot + 1;
@@ -66,7 +70,7 @@ impl ForwardIndex {
         Self {
             offsets,
             postings,
-            num_queries: query_matches.len(),
+            num_queries,
         }
     }
 
@@ -149,6 +153,10 @@ impl RemovalScratch {
 mod tests {
     use super::*;
 
+    fn build(num_records: usize, matches: &[Vec<RecordId>]) -> ForwardIndex {
+        ForwardIndex::build(num_records, matches.len(), |q| &matches[q.index()])
+    }
+
     #[test]
     fn build_inverts_query_matches() {
         // q0 matches {r0, r2}, q1 matches {r1}, q2 matches {r0, r1, r2}.
@@ -157,7 +165,7 @@ mod tests {
             vec![RecordId(1)],
             vec![RecordId(0), RecordId(1), RecordId(2)],
         ];
-        let f = ForwardIndex::build(3, &matches);
+        let f = build(3, &matches);
         assert_eq!(f.queries_of(RecordId(0)), &[QueryId(0), QueryId(2)]);
         assert_eq!(f.queries_of(RecordId(1)), &[QueryId(1), QueryId(2)]);
         assert_eq!(f.queries_of(RecordId(2)), &[QueryId(0), QueryId(2)]);
@@ -167,13 +175,13 @@ mod tests {
 
     #[test]
     fn record_with_no_queries_has_empty_list() {
-        let f = ForwardIndex::build(2, &[vec![RecordId(0)]]);
+        let f = build(2, &[vec![RecordId(0)]]);
         assert_eq!(f.queries_of(RecordId(1)), &[]);
     }
 
     #[test]
     fn out_of_range_record_yields_empty_slice() {
-        let f = ForwardIndex::build(1, &[]);
+        let f = build(1, &[]);
         assert_eq!(f.queries_of(RecordId(42)), &[]);
     }
 
@@ -185,7 +193,7 @@ mod tests {
             vec![RecordId(1)],
             vec![RecordId(0), RecordId(1), RecordId(2)],
         ];
-        let f = ForwardIndex::build(3, &matches);
+        let f = build(3, &matches);
         let mut scratch = RemovalScratch::default();
         let mut seen = Vec::new();
         // r1 is "weighted", r0/r2 are not.
@@ -202,7 +210,7 @@ mod tests {
 
     #[test]
     fn removal_scratch_resets_between_batches() {
-        let f = ForwardIndex::build(2, &[vec![RecordId(0), RecordId(1)]]);
+        let f = build(2, &[vec![RecordId(0), RecordId(1)]]);
         let mut scratch = RemovalScratch::default();
         let mut seen = Vec::new();
         f.remove_records(
@@ -227,7 +235,7 @@ mod tests {
 
     #[test]
     fn remove_records_skips_recordless_entries() {
-        let f = ForwardIndex::build(2, &[vec![RecordId(0)]]);
+        let f = build(2, &[vec![RecordId(0)]]);
         let mut scratch = RemovalScratch::default();
         let mut calls = 0;
         let walked = f.remove_records(

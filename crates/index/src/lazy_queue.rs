@@ -37,15 +37,19 @@
 //! priority is the maximum of all stored priorities, and the comparator is
 //! a total order, so any valid heap over the same stored priorities drains
 //! in the same order.
+//!
+//! The same argument lets [`LazyQueue::peek`] forecast the next pops
+//! without changing the queue, by walking the heap best-first.
 
 use crate::QueryId;
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Sentinel heap slot meaning "not live".
 const NOT_IN_HEAP: u32 = u32::MAX;
 
 /// Lazily-updated max-priority queue keyed by [`QueryId`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct LazyQueue {
     /// Implicit binary max-heap of live query ids.
     heap: Vec<u32>,
@@ -192,13 +196,56 @@ impl LazyQueue {
         }
     }
 
-    /// Whether the query in heap slot `a` outranks the one in slot `b`.
-    fn beats(&self, a: u32, b: u32) -> bool {
-        match self.priority[a as usize].total_cmp(&self.priority[b as usize]) {
-            Ordering::Greater => true,
-            Ordering::Less => false,
-            Ordering::Equal => a < b, // smaller id wins ties
+    /// The first `m` queries that `keep` accepts among those
+    /// [`LazyQueue::pop_max`] would return next, with their priorities,
+    /// best first — without changing the queue.
+    ///
+    /// Walks heap slots best-first from the root over a frontier heap in
+    /// the queue's own order. A visited slot adds its two children; a
+    /// dirty query is recomputed and re-enters at its fresh priority, a
+    /// clean one is the next pop. Every unvisited slot is outranked by an
+    /// ancestor in the frontier, so `recompute` sees the queries `pop_max`
+    /// would refresh, in the same order, and each pop surfaces where
+    /// `pop_max` would return it.
+    pub fn peek(
+        &self,
+        m: usize,
+        mut recompute: impl FnMut(QueryId) -> f64,
+        mut keep: impl FnMut(QueryId, f64) -> bool,
+    ) -> Vec<(QueryId, f64)> {
+        let mut out = Vec::with_capacity(m);
+        let mut frontier = BinaryHeap::new();
+        let visit = |frontier: &mut BinaryHeap<Frontier>, slot: usize| {
+            if let Some(&query) = self.heap.get(slot) {
+                let priority = self.priority[query as usize];
+                frontier.push(Frontier { priority, query, slot: slot as u32 });
+            }
+        };
+        visit(&mut frontier, 0);
+        while out.len() < m {
+            let Some(top) = frontier.pop() else { break };
+            let i = top.query as usize;
+            if top.slot != NOT_IN_HEAP {
+                let slot = top.slot as usize;
+                visit(&mut frontier, 2 * slot + 1);
+                visit(&mut frontier, 2 * slot + 2);
+                if self.generation[i] != self.clean_gen[i] {
+                    let priority = recompute(QueryId(top.query));
+                    assert!(!priority.is_nan(), "recomputed priority must not be NaN");
+                    frontier.push(Frontier { priority, query: top.query, slot: NOT_IN_HEAP });
+                    continue;
+                }
+            }
+            if keep(QueryId(top.query), top.priority) {
+                out.push((QueryId(top.query), top.priority));
+            }
         }
+        out
+    }
+
+    /// Whether query `a` outranks query `b`.
+    fn beats(&self, a: u32, b: u32) -> bool {
+        rank(self.priority[a as usize], a, self.priority[b as usize], b).is_gt()
     }
 
     fn sift_up(&mut self, mut slot: usize) {
@@ -269,6 +316,41 @@ impl LazyQueue {
         self.clean_gen[i] = stamp;
     }
 }
+
+/// The queue's total order on (priority, query): higher priority first,
+/// then the smaller id.
+fn rank(pa: f64, a: u32, pb: f64, b: u32) -> Ordering {
+    pa.total_cmp(&pb).then_with(|| b.cmp(&a))
+}
+
+/// A [`LazyQueue::peek`] frontier entry: a query at the priority it
+/// competes with — stored while its heap slot is unvisited, recomputed
+/// after (`slot` is then [`NOT_IN_HEAP`]: its children are already in).
+struct Frontier {
+    priority: f64,
+    query: u32,
+    slot: u32,
+}
+
+impl Ord for Frontier {
+    fn cmp(&self, other: &Self) -> Ordering {
+        rank(self.priority, self.query, other.priority, other.query)
+    }
+}
+
+impl PartialOrd for Frontier {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Frontier {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Frontier {}
 
 #[cfg(test)]
 mod tests {

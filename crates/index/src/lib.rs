@@ -3,27 +3,27 @@
 //! The efficient implementation of QSel-Est relies on three structures:
 //!
 //! * an [`InvertedIndex`] per database (`D` and the sample `Hs`) to compute
-//!   query frequencies `|q(D)|`, `|q(Hs)|` by posting-list intersection
-//!   (Fig. 3(a));
+//!   query frequencies by posting-list intersection (Fig. 3(a)) — the
+//!   pool's build-time `|q(D)|` comes from the miner that found `q`, so
+//!   `D`'s index serves fuzzy page matching and ad-hoc frequencies;
 //! * a [`ForwardIndex`] mapping each local record to the pool queries it
 //!   satisfies, so that removing a covered record touches only the affected
 //!   queries (Fig. 3(b));
 //! * a [`LazyQueue`] — a max-priority queue with a delta-update mechanism
 //!   that defers priority recomputation until a query actually reaches the
 //!   top (Fig. 3(c), Algorithm 4 lines 16–27).
-
 //!
-//! The [`backend`] module abstracts the first two behind storage-agnostic
-//! traits ([`PostingsBackend`], [`ForwardBackend`]) so the same selection
-//! call sites can run against these in-RAM structures or the paged
-//! on-disk substrate in `smartcrawl-store`.
+//! The [`backend`] module abstracts the forward index behind a
+//! storage-agnostic trait ([`ForwardBackend`]) so the one batched removal
+//! path runs against this in-RAM structure or the paged on-disk rows in
+//! `smartcrawl-store`.
 
 pub mod backend;
 pub mod forward;
 pub mod inverted;
 pub mod lazy_queue;
 
-pub use backend::{remove_records_batch, ForwardBackend, PostingsBackend};
+pub use backend::{remove_records_batch, ForwardBackend};
 pub use forward::{ForwardIndex, RemovalScratch};
 pub use inverted::InvertedIndex;
 pub use lazy_queue::LazyQueue;

@@ -39,7 +39,7 @@ proptest! {
     {
         let idx = InvertedIndex::build(&corpus, 24);
         let matches: Vec<Vec<RecordId>> = queries.iter().map(|q| idx.matching(q)).collect();
-        let fwd = ForwardIndex::build(corpus.len(), &matches);
+        let fwd = ForwardIndex::build(corpus.len(), matches.len(), |q| &matches[q.index()]);
         for (qi, m) in matches.iter().enumerate() {
             for &rid in m {
                 prop_assert!(fwd.queries_of(rid).contains(&QueryId(qi as u32)));

@@ -18,7 +18,7 @@
 //! * **One fan-out level** — a `par_*` call made from inside a worker
 //!   thread runs sequentially instead of spawning a nested scope, so
 //!   coarse-grained parallelism (e.g. the bench harness fanning out whole
-//!   crawl runs) composes with the fine-grained pool/engine parallelism
+//!   crawl runs) composes with the fine-grained engine-setup parallelism
 //!   without oversubscribing the machine.
 //!
 //! The thread count comes from a [`ThreadBudget`] read once from the

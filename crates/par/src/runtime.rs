@@ -7,7 +7,7 @@
 //! The caller's function must be pure (a function of its arguments alone);
 //! under that contract the output is byte-identical for every thread
 //! count, which the property tests in `tests/par_properties.rs` pin down
-//! for the pool, the engine setup, and every crawling approach.
+//! for the engine setup and every crawling approach.
 
 use crate::budget::{current_threads, IN_WORKER};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -15,9 +15,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// How many items one chunk holds for an input of `len` items.
 ///
 /// Deliberately a function of `len` *only* — never of the thread count —
-/// so the chunk decomposition (and any per-chunk state, like the
-/// dominance-pruning scratch buffer) is identical at every
-/// `SMARTCRAWL_THREADS`. Targets 64 chunks: enough slots to keep any
+/// so the chunk decomposition (and any per-chunk state) is identical at
+/// every `SMARTCRAWL_THREADS`. Targets 64 chunks: enough slots to keep any
 /// realistic budget busy under dynamic chunk-stealing, few enough that
 /// per-chunk overhead stays negligible.
 pub fn chunk_size_for(len: usize) -> usize {

@@ -13,7 +13,7 @@ use crate::cache::PagePool;
 use crate::forward::DiskForwardIndex;
 use crate::inverted::DiskInvertedIndex;
 use crate::{Result, StoreConfig, StoreReport, StoreStats};
-use smartcrawl_index::{ForwardBackend, ForwardIndex, InvertedIndex, PostingsBackend, QueryId};
+use smartcrawl_index::{ForwardBackend, ForwardIndex, InvertedIndex, QueryId};
 use smartcrawl_text::{Document, RecordId, TokenId};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -207,32 +207,6 @@ impl AnyPostings {
     }
 }
 
-impl PostingsBackend for AnyPostings {
-    fn num_docs(&self) -> usize {
-        AnyPostings::num_docs(self)
-    }
-
-    fn doc_frequency(&self, token: TokenId) -> usize {
-        AnyPostings::doc_frequency(self, token)
-    }
-
-    fn postings_into(&self, token: TokenId, out: &mut Vec<RecordId>) {
-        AnyPostings::postings_into(self, token, out)
-    }
-
-    fn matching(&self, query: &[TokenId]) -> Vec<RecordId> {
-        AnyPostings::matching(self, query)
-    }
-
-    fn frequency(&self, query: &[TokenId]) -> usize {
-        AnyPostings::frequency(self, query)
-    }
-
-    fn any_match(&self, query: &[TokenId]) -> bool {
-        AnyPostings::any_match(self, query)
-    }
-}
-
 /// A forward index that is either RAM-resident or disk-backed.
 #[derive(Debug)]
 pub enum AnyForward {
@@ -243,22 +217,25 @@ pub enum AnyForward {
 }
 
 impl AnyForward {
-    /// Builds for `num_records` records from the per-query match sets,
-    /// with the backend selected by `runtime` (as in
-    /// [`AnyPostings::build`]).
-    pub fn build(
+    /// Builds for `num_records` records from the match sets of queries
+    /// `0..num_queries` (`matches(q)` is `q(D)`, ascending), with the
+    /// backend selected by `runtime` (as in [`AnyPostings::build`]).
+    pub fn build<'a>(
         num_records: usize,
-        query_matches: &[Vec<RecordId>],
+        num_queries: usize,
+        matches: impl Fn(QueryId) -> &'a [RecordId],
         runtime: Option<&StoreRuntime>,
     ) -> Result<Self> {
         match runtime {
             None => Ok(AnyForward::Ram(ForwardIndex::build(
                 num_records,
-                query_matches,
+                num_queries,
+                matches,
             ))),
             Some(rt) => Ok(AnyForward::Disk(DiskForwardIndex::build(
                 num_records,
-                query_matches,
+                num_queries,
+                matches,
                 rt,
             )?)),
         }
@@ -354,9 +331,10 @@ mod tests {
         assert_eq!(ram.matching(&q), disk.matching(&q));
         assert_eq!(ram.frequency(&q), disk.frequency(&q));
 
-        let matches = vec![ram.matching(&q), ram.matching(&[TokenId(2)])];
-        let ram_f = AnyForward::build(3, &matches, None).unwrap();
-        let disk_f = AnyForward::build(3, &matches, Some(&rt)).unwrap();
+        let matches = [ram.matching(&q), ram.matching(&[TokenId(2)])];
+        let list = |q: QueryId| matches[q.index()].as_slice();
+        let ram_f = AnyForward::build(3, matches.len(), list, None).unwrap();
+        let disk_f = AnyForward::build(3, matches.len(), list, Some(&rt)).unwrap();
         let (mut a, mut b) = (Vec::new(), Vec::new());
         for r in 0..3 {
             ram_f.queries_of_into(RecordId(r), &mut a);

@@ -6,10 +6,10 @@
 //! record), so a removal batch reads exactly the rows it touches through
 //! the page pool instead of holding `Σ|F(d)|` query ids resident.
 //!
-//! The build is chunked: `query_matches` is the per-query match-set view
-//! (query → records), so rows are assembled for a window of 2¹⁶ records
-//! at a time via `partition_point` range extraction, bounding build
-//! memory by the window rather than the whole CSR.
+//! The build is chunked: it reads the per-query match sets (query →
+//! records) by query id, so rows are assembled for a window of 2¹⁶
+//! records at a time via `partition_point` range extraction, bounding
+//! build memory by the window rather than the whole CSR.
 
 use crate::backend::StoreRuntime;
 use crate::blob::{BlobReader, BlobWriter, Locator};
@@ -34,11 +34,13 @@ pub struct DiskForwardIndex {
 }
 
 impl DiskForwardIndex {
-    /// Builds the on-disk forward index for `num_records` records given,
-    /// for each query in id order, the records it matches.
-    pub fn build(
+    /// Builds the on-disk forward index for `num_records` records from the
+    /// match sets of queries `0..num_queries`: `matches(q)` is `q(D)` of
+    /// query `q`, ascending.
+    pub fn build<'a>(
         num_records: usize,
-        query_matches: &[Vec<RecordId>],
+        num_queries: usize,
+        matches: impl Fn(QueryId) -> &'a [RecordId],
         runtime: &StoreRuntime,
     ) -> Result<Self> {
         let path = runtime.file_path("fwd");
@@ -52,9 +54,10 @@ impl DiskForwardIndex {
         let mut lo = 0usize;
         while lo < num_records {
             let hi = (lo + BUILD_CHUNK).min(num_records);
-            for (q, matches) in query_matches.iter().enumerate() {
-                let start = matches.partition_point(|r| r.index() < lo);
-                for &rid in matches.get(start..).unwrap_or(&[]) {
+            for q in 0..num_queries {
+                let list = matches(QueryId(q as u32));
+                let start = list.partition_point(|r| r.index() < lo);
+                for &rid in list.get(start..).unwrap_or(&[]) {
                     if rid.index() >= hi {
                         break;
                     }
@@ -78,7 +81,7 @@ impl DiskForwardIndex {
         writer.finish()?;
         Ok(Self {
             num_records,
-            num_queries: query_matches.len(),
+            num_queries,
             total_incidences: total,
             locs,
             blob: BlobReader::open(&path, runtime.pool())?,
@@ -127,7 +130,7 @@ mod tests {
     #[test]
     fn disk_forward_agrees_with_ram_forward() {
         // q0 matches {r0, r2}, q1 matches {r1}, q2 matches {r0, r1, r2}.
-        let matches = vec![
+        let matches = [
             vec![RecordId(0), RecordId(2)],
             vec![RecordId(1)],
             vec![RecordId(0), RecordId(1), RecordId(2)],
@@ -139,8 +142,9 @@ mod tests {
             dir: None,
         })
         .unwrap();
-        let disk = DiskForwardIndex::build(4, &matches, &rt).unwrap();
-        let ram = ForwardIndex::build(4, &matches);
+        let list = |q: QueryId| matches[q.index()].as_slice();
+        let disk = DiskForwardIndex::build(4, matches.len(), list, &rt).unwrap();
+        let ram = ForwardIndex::build(4, matches.len(), list);
         assert_eq!(disk.num_records(), ram.num_records());
         assert_eq!(disk.num_queries(), ram.num_queries());
         assert_eq!(disk.total_incidences(), ram.total_incidences());

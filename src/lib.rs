@@ -12,7 +12,7 @@
 //! | [`core`] | `smartcrawl-core` | SmartCrawl framework: pool, estimators, QSel-* strategies, crawlers |
 //! | [`text`] | `smartcrawl-text` | tokenization, documents, similarity |
 //! | [`index`] | `smartcrawl-index` | inverted/forward indexes, lazy priority queue |
-//! | [`fpm`] | `smartcrawl-fpm` | FP-Growth / Apriori frequent itemset mining |
+//! | [`fpm`] | `smartcrawl-fpm` | frequent itemset mining (vertical miner, Apriori reference) |
 //! | [`hidden`] | `smartcrawl-hidden` | hidden-database simulator + search interfaces |
 //! | [`cache`] | `smartcrawl-cache` | persistent query-result cache between crawler and interface |
 //! | [`sampler`] | `smartcrawl-sampler` | deep-web samplers (oracle + pool-based) |
