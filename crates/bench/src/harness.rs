@@ -77,10 +77,10 @@ pub struct RunSpec {
     /// Pre-built sample overriding `theta` (e.g. from the pool-based
     /// sampler in the Yelp experiment).
     pub sample_override: Option<HiddenSample>,
-    /// Index storage backend: RAM-resident (default) or the out-of-core
-    /// paged store. Shards are contiguous record-id ranges, so crawl
-    /// results are byte-identical either way; only memory residency and
-    /// the report's `store` block differ.
+    /// Forward-index storage: RAM-resident (default) or the out-of-core
+    /// paged store. Both hold the same rows, so crawl results are
+    /// byte-identical either way; only memory residency and the report's
+    /// `store` block differ.
     pub backend: IndexBackendConfig,
     /// Crawl-driver pipeline depth (1 = strictly sequential). Depths > 1
     /// overlap speculative hidden-site searches with selection and
@@ -470,9 +470,9 @@ mod tests {
     #[test]
     fn disk_backend_reproduces_ram_results_exactly() {
         // The store acceptance check at harness level: the same sweep run
-        // on the RAM index and on the paged disk store must digest
-        // identically — shards are contiguous record ranges, so the merge
-        // is the sorted match set either way.
+        // with the forward index in RAM and on the paged disk store must
+        // digest identically — both hold the same rows, so every removal
+        // touches the same queries either way.
         let s = smartcrawl_data::Scenario::build(ScenarioConfig::tiny(11));
         let specs: Vec<RunSpec> = [Approach::SmartB, Approach::Bound, Approach::Full]
             .into_iter()
@@ -491,7 +491,6 @@ mod tests {
                 d.backend = IndexBackendConfig::Disk(smartcrawl_core::StoreConfig {
                     page_size: 256,
                     cache_pages: 8,
-                    shards: 3,
                     ..Default::default()
                 });
                 d
@@ -504,8 +503,8 @@ mod tests {
             "disk backend diverged from RAM"
         );
         // Every disk run reports its store; the sweep as a whole must
-        // have gone to disk (an individual approach may never probe the
-        // inverted index, e.g. a pool-free baseline with exact matching).
+        // have gone to disk (an individual approach may never read a
+        // forward row, e.g. a pool-free baseline).
         let misses: u64 = disk_outcomes
             .iter()
             .map(|o| {

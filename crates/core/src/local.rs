@@ -1,26 +1,27 @@
 //! The local database `D` and matching returned pages against it.
 
 use crate::context::TextContext;
-use smartcrawl_index::QueryId;
+use smartcrawl_index::{InvertedIndex, QueryId};
 use smartcrawl_match::Matcher;
-use smartcrawl_store::{AnyForward, AnyPostings, IndexBackendConfig, StoreReport, StoreRuntime};
+use smartcrawl_store::{AnyForward, IndexBackendConfig, StoreReport, StoreRuntime};
 use smartcrawl_text::similarity::jaccard;
 use smartcrawl_text::{Document, Record, RecordId, TokenId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The indexed local database: records, their documents, and an inverted
-/// index for query-frequency computation (`|q(D)|`, paper Fig. 3(a)) and
-/// fuzzy page matching; the pool takes its `q(D)` lists from the miner
-/// instead. The index is either RAM-resident (the default) or the paged on-disk
-/// backend of `smartcrawl-store`, selected per run via
-/// [`IndexBackendConfig`]; both produce identical match sets, so every
-/// caller is backend-oblivious.
+/// The indexed local database: records, their documents, and the one
+/// inverted index over `D` (paper Fig. 3(a)), always in RAM. Its token
+/// lists feed the pool's miner and naive-query filter and the fuzzy
+/// page-matching prefix filter. [`IndexBackendConfig`] chooses where the
+/// forward index built from the pool goes ([`build_forward`]); both
+/// places hold the same rows, so every caller is backend-oblivious.
+///
+/// [`build_forward`]: LocalDb::build_forward
 #[derive(Debug)]
 pub struct LocalDb {
     records: Vec<Record>,
     docs: Vec<Document>,
-    index: AnyPostings,
+    index: InvertedIndex,
     /// Owns the on-disk files and cache budget when the disk backend is
     /// active; `None` on the RAM path.
     store: Option<Arc<StoreRuntime>>,
@@ -30,36 +31,39 @@ impl LocalDb {
     /// Tokenizes and indexes `records` into `ctx`'s shared vocabulary
     /// (RAM backend).
     pub fn build(records: Vec<Record>, ctx: &mut TextContext) -> Self {
-        match Self::build_with(records, ctx, &IndexBackendConfig::Ram) {
-            Ok(db) => db,
-            // The RAM path cannot fail (no I/O); keep the historical
-            // infallible signature for the dozens of existing call sites.
-            // lint:allow(panic-freedom) unreachable: the Ram arm performs no I/O
-            Err(e) => panic!("RAM index build failed: {e}"),
-        }
+        Self::build_on(records, ctx, None)
     }
 
-    /// Tokenizes and indexes `records` with an explicit index backend.
+    /// Tokenizes and indexes `records` with an explicit forward-index
+    /// backend; fails only if the disk backend's store cannot be created.
     pub fn build_with(
         records: Vec<Record>,
         ctx: &mut TextContext,
         backend: &IndexBackendConfig,
     ) -> Result<Self, smartcrawl_store::StoreError> {
-        let docs: Vec<Document> = records
-            .iter()
-            .map(|r| ctx.doc_of_fields(r.fields()))
-            .collect();
         let store = match backend {
             IndexBackendConfig::Ram => None,
             IndexBackendConfig::Disk(config) => Some(StoreRuntime::create(config.clone())?),
         };
-        let index = AnyPostings::build(&docs, ctx.vocab.len(), store.as_deref())?;
-        Ok(Self {
+        Ok(Self::build_on(records, ctx, store))
+    }
+
+    fn build_on(
+        records: Vec<Record>,
+        ctx: &mut TextContext,
+        store: Option<Arc<StoreRuntime>>,
+    ) -> Self {
+        let docs: Vec<Document> = records
+            .iter()
+            .map(|r| ctx.doc_of_fields(r.fields()))
+            .collect();
+        let index = InvertedIndex::build(&docs, ctx.vocab.len());
+        Self {
             records,
             docs,
             index,
             store,
-        })
+        }
     }
 
     /// Number of local records `|D|`.
@@ -87,14 +91,15 @@ impl LocalDb {
         &self.docs
     }
 
-    /// The inverted index over `D` (RAM or disk).
-    pub fn index(&self) -> &AnyPostings {
+    /// The inverted index over `D`: `postings(t)` lists the records
+    /// holding token `t`, ascending.
+    pub fn index(&self) -> &InvertedIndex {
         &self.index
     }
 
-    /// Builds the forward index (record → queries) on the same backend as
-    /// the inverted index, so a disk-backed run keeps `Σ|F(d)|` on disk
-    /// too. `matches(q)` is `q(D)` of pool query `q < num_queries`.
+    /// Builds the forward index (record → queries) on the backend chosen
+    /// at build time, so a disk-backed run keeps `Σ|F(d)|` on disk.
+    /// `matches(q)` is `q(D)` of pool query `q < num_queries`.
     pub fn build_forward<'a>(
         &self,
         num_queries: usize,
@@ -113,11 +118,14 @@ impl LocalDb {
 /// the page-to-`D` direction used by every crawler's bookkeeping.
 ///
 /// Exact matching is one hash lookup. Fuzzy (Jaccard ≥ τ) matching uses a
-/// prefix filter: any local record with `J(d, h) ≥ τ` shares at least one
-/// of the `⌊(1−τ)·|h|⌋ + 1` *rarest* tokens of `h` (if all shared tokens
-/// were outside that prefix, the overlap would be at most `⌈τ|h|⌉ − 1 <
-/// τ|h| ≤ |d ∩ h|`, a contradiction) — so only those posting lists are
-/// scanned.
+/// prefix filter. Let `m` be the least overlap with `m / |h| ≥ τ`, in the
+/// same floating-point division [`jaccard`] performs. A local record with
+/// `J(d, h) ≥ τ` shares at least `m` tokens with `h`: `|d ∪ h| ≥ |h|`, and
+/// a rounded quotient never grows with its denominator. So it holds one of
+/// any `|h| − m + 1` tokens of `h`, and only the posting lists of the
+/// `|h| − m + 1` *rarest* are scanned. (The real-number bound
+/// `⌊(1−τ)·|h|⌋ + 1` is one short whenever `(1−τ)·|h|` rounds down past
+/// an integer, as `(1 − 0.9) · 10` does.)
 #[derive(Debug)]
 pub struct LocalMatchIndex<'a> {
     db: &'a LocalDb,
@@ -157,16 +165,17 @@ impl<'a> LocalMatchIndex<'a> {
                 })
                 .unwrap_or_default(),
             Matcher::Jaccard { threshold } => {
-                if h.is_empty() {
+                // The least overlap `m` (see the type docs); an empty `h`
+                // has none and matches nothing.
+                let n = h.len();
+                let Some(m) = (1..=n).find(|&m| m as f64 / n as f64 >= threshold) else {
                     return Vec::new();
-                }
-                // Prefix filter: probe the rarest (1-τ)|h|+1 tokens.
-                let prefix_len = ((1.0 - threshold) * h.len() as f64).floor() as usize + 1;
+                };
                 let mut by_rarity: Vec<TokenId> = h.iter().collect();
                 by_rarity.sort_unstable_by_key(|&t| (self.db.index.doc_frequency(t), t));
                 let mut candidates: Vec<RecordId> = Vec::new();
-                for &t in by_rarity.iter().take(prefix_len.min(by_rarity.len())) {
-                    self.db.index.postings_into(t, &mut candidates);
+                for &t in &by_rarity[..n - m + 1] {
+                    candidates.extend_from_slice(self.db.index.postings(t));
                 }
                 candidates.sort_unstable();
                 candidates.dedup();
@@ -184,6 +193,7 @@ impl<'a> LocalMatchIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn setup() -> (LocalDb, TextContext) {
         let mut ctx = TextContext::new();
@@ -269,23 +279,94 @@ mod tests {
     }
 
     #[test]
-    fn fuzzy_match_agrees_with_brute_force() {
-        let (db, mut ctx) = setup();
+    fn fuzzy_match_reaches_the_threshold_exactly() {
+        // J = 9/10 = 0.9 exactly, and the record lacks the page's rarest
+        // token: the prefix must hold two tokens, not one.
+        let mut ctx = TextContext::new();
+        let words: Vec<String> = (0..9).map(|i| format!("w{i}")).collect();
+        let db = LocalDb::build(vec![Record::from([words.join(" ")])], &mut ctx);
         let m = LocalMatchIndex::build(&db);
-        let probes = [
-            "thai noodle house",
-            "jade house",
-            "noodle express thai",
-            "steak palace",
-        ];
-        for p in probes {
-            let h = ctx.doc(p);
-            for thr in [0.3, 0.5, 0.8, 1.0] {
-                let got = m.find_matches(&h, Matcher::Jaccard { threshold: thr }, None);
-                let expect: Vec<usize> = (0..db.len())
-                    .filter(|&i| jaccard(db.doc(i), &h) >= thr)
-                    .collect();
-                assert_eq!(got, expect, "probe {p:?} thr {thr}");
+        let h = ctx.doc(&format!("{} novel", words.join(" ")));
+        assert_eq!(m.find_matches(&h, Matcher::paper_fuzzy(), None), vec![0]);
+    }
+
+    /// Words `w0..` of the local vocabulary; page documents add `n0..`,
+    /// which `D` lacks.
+    const WORDS: usize = 12;
+
+    /// The text of a document holding the picked words; a stop word alone
+    /// when none are picked, which tokenizes to the empty document.
+    fn text(prefix: char, picks: &[usize]) -> String {
+        if picks.is_empty() {
+            return "the".to_owned();
+        }
+        let words: Vec<String> = picks.iter().map(|i| format!("{prefix}{i}")).collect();
+        words.join(" ")
+    }
+
+    /// Brute force over every live local record: `Matcher::matches`,
+    /// except that under Jaccard an empty page document matches nothing,
+    /// although `jaccard` of two empty documents is 1.0.
+    fn brute_force(
+        db: &LocalDb,
+        h: &Document,
+        matcher: Matcher,
+        live: Option<&[bool]>,
+    ) -> Vec<usize> {
+        (0..db.len())
+            .filter(|&i| live.is_none_or(|l| l[i]))
+            .filter(|&i| match matcher {
+                Matcher::Jaccard { .. } if h.is_empty() => false,
+                _ => matcher.matches(db.doc(i), h),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn fuzzy_match_agrees_with_brute_force(
+            docs in prop::collection::vec(prop::collection::vec(0usize..WORDS, 0..11), 1..12),
+            copies in prop::collection::vec(0usize..12, 0..4),
+            // (local source, novel words, random words): a page document
+            // is local document `source` plus `novel` words D lacks (an
+            // at-threshold pair when the sizes line up), or, when there is
+            // no such document, the random words.
+            pages in prop::collection::vec(
+                (0usize..18, 0usize..8, prop::collection::vec(0usize..WORDS + 4, 0..11)),
+                1..6,
+            ),
+            mask in prop::collection::vec(0u8..3, 1..12),
+            masked in 0u8..2,
+        ) {
+            let mut docs = docs;
+            let dups: Vec<Vec<usize>> =
+                copies.iter().filter_map(|&i| docs.get(i).cloned()).collect();
+            docs.extend(dups);
+            let mut ctx = TextContext::new();
+            let records = docs.iter().map(|d| Record::from([text('w', d)])).collect();
+            let db = LocalDb::build(records, &mut ctx);
+            let m = LocalMatchIndex::build(&db);
+            let live: Vec<bool> = (0..db.len()).map(|i| mask[i % mask.len()] != 0).collect();
+            let live = (masked == 1).then_some(live.as_slice());
+            for (source, novel, random) in &pages {
+                let h = match docs.get(*source) {
+                    Some(d) => {
+                        let novel: Vec<usize> = (0..*novel).collect();
+                        ctx.doc(&format!("{} {}", text('w', d), text('n', &novel)))
+                    }
+                    None => ctx.doc(&text('w', random)),
+                };
+                let matchers = [0.3, 0.5, 0.7, 0.8, 0.9, 1.0]
+                    .map(|threshold| Matcher::Jaccard { threshold });
+                for matcher in std::iter::once(Matcher::Exact).chain(matchers) {
+                    prop_assert_eq!(
+                        m.find_matches(&h, matcher, live),
+                        brute_force(&db, &h, matcher, live),
+                        "page {:?} under {:?}",
+                        h,
+                        matcher
+                    );
+                }
             }
         }
     }

@@ -18,10 +18,11 @@
 //!   `max_len`. By downward closure this catches all dominations within
 //!   the mined lattice.
 //!
-//! Every query's `q(D)` comes from the same pass that found it: the miner
-//! keeps each mined set's record list, and a naive query's list is its
-//! rarest keyword's list filtered by containment. The local index is never
-//! consulted. The lists are held in pool order as one CSR buffer.
+//! Every query's `q(D)` comes from the same pass that found it: the miner,
+//! which reads each keyword's record list from `LocalDb`'s inverted index,
+//! keeps each mined set's list, and a naive query's list is its rarest
+//! keyword's list filtered by containment. No query is intersected after
+//! the fact. The lists are held in pool order as one CSR buffer.
 //!
 //! The pool is shuffled once (seeded) so that equal-benefit ties during
 //! selection break pseudo-randomly, as in the paper, while staying
@@ -104,7 +105,9 @@ impl QueryPool {
         let docs = local.docs();
 
         // -- Frequent queries (second principle), with their q(D). ---------
-        let mined = mine(docs, MinerConfig::new(cfg.min_support, cfg.max_len));
+        let index = local.index();
+        let miner = MinerConfig::new(cfg.min_support, cfg.max_len);
+        let mined = mine(docs, |t| index.postings(t), miner);
         let mut stats = PoolStats { mined: mined.sets.len(), ..Default::default() };
         let mut seen: HashSet<&[TokenId]> = HashSet::new();
         // Each query travels with its q(D) through the shuffle.
@@ -135,7 +138,7 @@ impl QueryPool {
                 stats.naive_deduped += 1;
                 continue;
             }
-            let rarest = tokens.iter().map(|t| mined.tokens.get(t.index())).min_by_key(|l| l.len());
+            let rarest = tokens.iter().map(|&t| index.postings(t)).min_by_key(|l| l.len());
             let holds_all =
                 |r: &RecordId| docs.get(r.index()).is_some_and(|d| d.contains_all(tokens));
             naive_lists.push(rarest.unwrap_or_default().iter().copied().filter(holds_all));

@@ -759,7 +759,6 @@ mod tests {
         StoreRuntime::create(StoreConfig {
             page_size: 512,
             cache_pages: 32,
-            shards: 1,
             dir: None,
         })
         .expect("store runtime")

@@ -1,12 +1,13 @@
 //! Vertical miner: the production miner behind SmartCrawl's query pool.
 //!
 //! The pool needs every mined set's `q(D)` next (for its forward index,
-//! paper Fig. 3(b)), so this miner keeps the record ids it visits. One
-//! pass over the transactions builds every token's record list; the
-//! frequent tokens are the 1-itemsets. A k-itemset `S` is extended by
-//! projecting its records: bucketing the (u, record) pairs of every token
-//! `u > max(S)` of every record of `S` by `u` gives each `S ∪ {u}`'s
-//! support (the bucket's size) and its list (the bucket) together.
+//! paper Fig. 3(b)), so this miner keeps the record ids it visits. Each
+//! token's record list comes from the caller's inverted index over the
+//! same transactions; the frequent tokens are the 1-itemsets. A k-itemset
+//! `S` is extended by projecting its records: bucketing the (u, record)
+//! pairs of every token `u > max(S)` of every record of `S` by `u` gives
+//! each `S ∪ {u}`'s support (the bucket's size) and its list (the bucket)
+//! together.
 //!
 //! Each level is built from the previous one in order, extensions
 //! ascending, so it comes out sorted by item ids and the levels
@@ -79,34 +80,28 @@ pub struct Mined {
     /// `lists.get(i)` is `q(D)` of `sets[i]`: the transactions holding
     /// every item, ascending.
     pub lists: RecordLists,
-    /// `tokens.get(t)` lists the transactions holding token `t`,
-    /// ascending, for every token id up to the largest one seen, frequent
-    /// or not.
-    pub tokens: RecordLists,
 }
 
 /// Mines all itemsets with support ≥ `cfg.min_support` and length ≤
 /// `cfg.max_len`, each with its record list (see the module docs).
-/// Transaction `i` is `RecordId(i)`.
-pub fn mine(transactions: &[Document], cfg: MinerConfig) -> Mined {
-    let n = transactions.iter().filter_map(|d| d.tokens().last()).map(|t| t.index() + 1).max();
-    let mut per_token = vec![Vec::new(); n.unwrap_or(0)];
-    for (r, doc) in transactions.iter().enumerate() {
-        for t in doc.iter() {
-            per_token[t.index()].push(RecordId(r as u32));
-        }
-    }
-    let mut tokens = RecordLists::default();
+/// Transaction `i` is `RecordId(i)`, and `postings(t)` lists the
+/// transactions holding token `t`, ascending.
+pub fn mine<'a>(
+    transactions: &[Document],
+    postings: impl Fn(TokenId) -> &'a [RecordId],
+    cfg: MinerConfig,
+) -> Mined {
+    let n = transactions.iter().filter_map(|d| d.tokens().last()).map(|t| t.0 + 1).max();
     let mut sets = Vec::new();
     let mut lists = RecordLists::default();
-    for (t, list) in per_token.into_iter().enumerate() {
+    for t in (0..n.unwrap_or(0)).map(TokenId) {
+        let list = postings(t);
         if list.len() >= cfg.min_support {
-            sets.push(Itemset { items: vec![TokenId(t as u32)], support: list.len() });
+            sets.push(Itemset { items: vec![t], support: list.len() });
             lists.push(list.iter().copied());
         }
-        tokens.push(list);
     }
-    let frequent = |t: &&TokenId| tokens.get(t.index()).len() >= cfg.min_support;
+    let frequent = |t: &&TokenId| postings(**t).len() >= cfg.min_support;
 
     let mut level = 0..sets.len();
     let mut pairs: Vec<(TokenId, RecordId)> = Vec::new();
@@ -132,7 +127,7 @@ pub fn mine(transactions: &[Document], cfg: MinerConfig) -> Mined {
         }
         level = next..sets.len();
     }
-    Mined { sets, lists, tokens }
+    Mined { sets, lists }
 }
 
 #[cfg(test)]
@@ -149,6 +144,19 @@ mod tests {
 
     fn ids(list: &[RecordId]) -> Vec<u32> {
         list.iter().map(|r| r.0).collect()
+    }
+
+    /// Mines with per-token lists built by a scan, as the caller's
+    /// inverted index holds them.
+    fn mine(txs: &[Document], cfg: MinerConfig) -> Mined {
+        let mut postings: Vec<Vec<RecordId>> = Vec::new();
+        for (r, doc) in txs.iter().enumerate() {
+            for t in doc.iter() {
+                postings.resize(postings.len().max(t.index() + 1), Vec::new());
+                postings[t.index()].push(RecordId(r as u32));
+            }
+        }
+        super::mine(txs, |t| postings.get(t.index()).map_or(&[], Vec::as_slice), cfg)
     }
 
     #[test]
@@ -176,9 +184,6 @@ mod tests {
         assert_eq!(find(&[1, 2]), (2, vec![0, 1]), "noodle house");
         assert_eq!(mined.sets.len(), 6);
         assert_eq!(mined.lists.len(), 6);
-        // Infrequent tokens keep their lists too: jade, express.
-        assert_eq!(ids(mined.tokens.get(3)), vec![1]);
-        assert_eq!(ids(mined.tokens.get(4)), vec![3]);
     }
 
     #[test]

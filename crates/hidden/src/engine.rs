@@ -523,7 +523,6 @@ mod tests {
         StoreRuntime::create(StoreConfig {
             page_size: 256,
             cache_pages: 16,
-            shards: 1,
             dir: None,
         })
         .expect("store runtime")

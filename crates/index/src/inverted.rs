@@ -73,22 +73,6 @@ impl InvertedIndex {
         }
     }
 
-    /// Whether at least one document satisfies the query.
-    pub fn any_match(&self, query: &[TokenId]) -> bool {
-        match query {
-            [] => false,
-            [t] => !self.postings(*t).is_empty(),
-            _ => {
-                let mut found = false;
-                // The cursor walk cannot early-exit through the callback,
-                // but a non-empty intersection usually hits within the
-                // first few seed candidates anyway.
-                self.intersect(query, |_, _| found = true);
-                found
-            }
-        }
-    }
-
     /// Cursor-galloping k-way intersection: walks the smallest posting
     /// list and advances one monotone cursor per remaining list with
     /// exponential search *from the cursor* — consecutive seed candidates
@@ -233,7 +217,6 @@ mod tests {
         let idx = InvertedIndex::build(&docs(&[&[0]]), 1);
         assert_eq!(idx.frequency(&[]), 0);
         assert!(idx.matching(&[]).is_empty());
-        assert!(!idx.any_match(&[]));
     }
 
     #[test]
@@ -252,12 +235,5 @@ mod tests {
         for q in [&[TokenId(0)][..], &[TokenId(0), TokenId(1)], &[TokenId(0), TokenId(1), TokenId(2)]] {
             assert_eq!(idx.frequency(q), idx.matching(q).len());
         }
-    }
-
-    #[test]
-    fn any_match_detects_presence() {
-        let idx = InvertedIndex::build(&docs(&[&[0, 1], &[2]]), 3);
-        assert!(idx.any_match(&[TokenId(0), TokenId(1)]));
-        assert!(!idx.any_match(&[TokenId(0), TokenId(2)]));
     }
 }

@@ -3,18 +3,17 @@
 //! A [`StoreRuntime`] owns the directory the store files live in, hands
 //! out file paths, and owns the one [`PagePool`] every file it hosts
 //! reads through, whose counters make its [`StoreReport`].
-//! [`AnyPostings`] and [`AnyForward`] are the per-run
-//! switch between the in-RAM indexes of `smartcrawl-index` and the paged
-//! disk backends of this crate: call sites hold the enum and never know
-//! which side they are on. [`IndexBackendConfig`] is the user-facing
-//! knob the bench harness threads through a run spec.
+//! [`AnyForward`] is the per-run switch between the in-RAM forward index
+//! of `smartcrawl-index` and the paged disk rows of this crate: call
+//! sites hold the enum and never know which side they are on.
+//! [`IndexBackendConfig`] is the user-facing knob the bench harness
+//! threads through a run spec.
 
 use crate::cache::PagePool;
 use crate::forward::DiskForwardIndex;
-use crate::inverted::DiskInvertedIndex;
 use crate::{Result, StoreConfig, StoreReport, StoreStats};
-use smartcrawl_index::{ForwardBackend, ForwardIndex, InvertedIndex, QueryId};
-use smartcrawl_text::{Document, RecordId, TokenId};
+use smartcrawl_index::{ForwardBackend, ForwardIndex, QueryId};
+use smartcrawl_text::RecordId;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,13 +22,14 @@ use std::sync::Arc;
 /// naming without the wall clock).
 static RUNTIME_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Which index backend a run uses.
+/// Where a run keeps its forward index (record → queries). The inverted
+/// index over `D` is always in RAM.
 #[derive(Debug, Clone, Default)]
 pub enum IndexBackendConfig {
-    /// In-RAM indexes (the paper's efficient implementation).
+    /// In-RAM forward index (the paper's efficient implementation).
     #[default]
     Ram,
-    /// Paged on-disk indexes with the given sizing.
+    /// Paged on-disk forward rows with the given sizing.
     Disk(StoreConfig),
 }
 
@@ -133,80 +133,6 @@ impl Drop for StoreRuntime {
     }
 }
 
-/// An inverted index that is either RAM-resident or disk-backed.
-#[derive(Debug)]
-pub enum AnyPostings {
-    /// The in-RAM index of `smartcrawl-index`.
-    Ram(InvertedIndex),
-    /// The sharded paged index of this crate.
-    Disk(DiskInvertedIndex),
-}
-
-impl AnyPostings {
-    /// Builds over `docs` with the backend selected by `runtime`:
-    /// `None` → RAM, `Some` → disk files owned by that runtime.
-    pub fn build(
-        docs: &[Document],
-        vocab_size: usize,
-        runtime: Option<&StoreRuntime>,
-    ) -> Result<Self> {
-        match runtime {
-            None => Ok(AnyPostings::Ram(InvertedIndex::build(docs, vocab_size))),
-            Some(rt) => Ok(AnyPostings::Disk(DiskInvertedIndex::build(
-                docs, vocab_size, rt,
-            )?)),
-        }
-    }
-
-    /// Number of indexed documents.
-    pub fn num_docs(&self) -> usize {
-        match self {
-            AnyPostings::Ram(i) => i.num_docs(),
-            AnyPostings::Disk(i) => i.num_docs(),
-        }
-    }
-
-    /// Document frequency of a single token.
-    pub fn doc_frequency(&self, token: TokenId) -> usize {
-        match self {
-            AnyPostings::Ram(i) => i.doc_frequency(token),
-            AnyPostings::Disk(i) => i.doc_frequency(token),
-        }
-    }
-
-    /// Appends `I(w)` to `out` (ascending record ids, no clear).
-    pub fn postings_into(&self, token: TokenId, out: &mut Vec<RecordId>) {
-        match self {
-            AnyPostings::Ram(i) => out.extend_from_slice(i.postings(token)),
-            AnyPostings::Disk(i) => i.postings_into(token, out),
-        }
-    }
-
-    /// Materializes `q(D)` in ascending record-id order.
-    pub fn matching(&self, query: &[TokenId]) -> Vec<RecordId> {
-        match self {
-            AnyPostings::Ram(i) => i.matching(query),
-            AnyPostings::Disk(i) => i.matching(query),
-        }
-    }
-
-    /// `|q(D)|` without materializing the match set.
-    pub fn frequency(&self, query: &[TokenId]) -> usize {
-        match self {
-            AnyPostings::Ram(i) => i.frequency(query),
-            AnyPostings::Disk(i) => i.frequency(query),
-        }
-    }
-
-    /// Whether at least one document satisfies the query.
-    pub fn any_match(&self, query: &[TokenId]) -> bool {
-        match self {
-            AnyPostings::Ram(i) => i.any_match(query),
-            AnyPostings::Disk(i) => i.any_match(query),
-        }
-    }
-}
-
 /// A forward index that is either RAM-resident or disk-backed.
 #[derive(Debug)]
 pub enum AnyForward {
@@ -219,7 +145,8 @@ pub enum AnyForward {
 impl AnyForward {
     /// Builds for `num_records` records from the match sets of queries
     /// `0..num_queries` (`matches(q)` is `q(D)`, ascending), with the
-    /// backend selected by `runtime` (as in [`AnyPostings::build`]).
+    /// backend selected by `runtime`: `None` → RAM, `Some` → a disk
+    /// file owned by that runtime.
     pub fn build<'a>(
         num_records: usize,
         num_queries: usize,
@@ -299,11 +226,25 @@ impl ForwardBackend for AnyForward {
 mod tests {
     use super::*;
 
-    fn docs(specs: &[&[u32]]) -> Vec<Document> {
+    /// `q(D)` lists of a small pool, query by query.
+    fn lists(specs: &[&[u32]]) -> Vec<Vec<RecordId>> {
         specs
             .iter()
-            .map(|s| Document::from_tokens(s.iter().map(|&t| TokenId(t)).collect()))
+            .map(|s| s.iter().map(|&r| RecordId(r)).collect())
             .collect()
+    }
+
+    /// Asserts that `disk` holds the same rows as a RAM index over `matches`.
+    fn assert_rows_equal(disk: &AnyForward, num_records: usize, matches: &[Vec<RecordId>]) {
+        let list = |q: QueryId| matches[q.index()].as_slice();
+        let ram = AnyForward::build(num_records, matches.len(), list, None).unwrap();
+        assert_eq!(disk.total_incidences(), ram.total_incidences());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for r in 0..num_records as u32 {
+            ram.queries_of_into(RecordId(r), &mut a);
+            disk.queries_of_into(RecordId(r), &mut b);
+            assert_eq!(a, b, "row of record {r}");
+        }
     }
 
     #[test]
@@ -317,30 +258,18 @@ mod tests {
 
     #[test]
     fn both_backends_expose_the_same_surface() {
-        let corpus = docs(&[&[0, 1], &[1, 2], &[0, 1, 2]]);
         let config = StoreConfig {
             page_size: 64,
             cache_pages: 8,
-            shards: 2,
             dir: None,
         };
         let rt = StoreRuntime::create(config).unwrap();
-        let ram = AnyPostings::build(&corpus, 3, None).unwrap();
-        let disk = AnyPostings::build(&corpus, 3, Some(&rt)).unwrap();
-        let q = [TokenId(0), TokenId(1)];
-        assert_eq!(ram.matching(&q), disk.matching(&q));
-        assert_eq!(ram.frequency(&q), disk.frequency(&q));
-
-        let matches = [ram.matching(&q), ram.matching(&[TokenId(2)])];
+        let matches = lists(&[&[0, 2], &[1, 2]]);
         let list = |q: QueryId| matches[q.index()].as_slice();
-        let ram_f = AnyForward::build(3, matches.len(), list, None).unwrap();
-        let disk_f = AnyForward::build(3, matches.len(), list, Some(&rt)).unwrap();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for r in 0..3 {
-            ram_f.queries_of_into(RecordId(r), &mut a);
-            disk_f.queries_of_into(RecordId(r), &mut b);
-            assert_eq!(a, b);
-        }
+        let disk = AnyForward::build(3, matches.len(), list, Some(&rt)).unwrap();
+        assert_eq!(disk.num_records(), 3);
+        assert_eq!(disk.num_queries(), 2);
+        assert_rows_equal(&disk, 3, &matches);
         let report = rt.report();
         assert!(report.stats.misses > 0);
         assert!(report.stats.peak_resident_pages > 0);
@@ -355,36 +284,31 @@ mod tests {
         let config = StoreConfig {
             page_size: 64,
             cache_pages: 4,
-            shards: 2,
             dir: Some(dir.clone()),
         };
-        let corpora = [
-            docs(&[&[0, 1], &[1, 2], &[0, 1, 2]]),
-            docs(&[&[2], &[0, 2], &[1], &[0, 1, 2], &[2, 1], &[0]]),
+        let pools = [
+            (3, lists(&[&[0, 1, 2], &[1, 2], &[0]])),
+            (
+                6,
+                lists(&[&[2, 3, 5], &[0, 1, 2, 3, 4, 5], &[4], &[1, 3], &[0, 5]]),
+            ),
         ];
         let runtimes = [
             StoreRuntime::create(config.clone()).unwrap(),
             StoreRuntime::create(config).unwrap(),
         ];
-        // Both indexes are built before either is queried, so a file name
+        // Both indexes are built before either is read, so a file name
         // shared by the two runtimes would be truncated under the first.
-        let disks: Vec<AnyPostings> = corpora
+        let disks: Vec<AnyForward> = pools
             .iter()
             .zip(&runtimes)
-            .map(|(corpus, rt)| AnyPostings::build(corpus, 3, Some(rt)).unwrap())
+            .map(|((n, matches), rt)| {
+                let list = |q: QueryId| matches[q.index()].as_slice();
+                AnyForward::build(*n, matches.len(), list, Some(rt)).unwrap()
+            })
             .collect();
-        for (corpus, disk) in corpora.iter().zip(&disks) {
-            let ram = AnyPostings::build(corpus, 3, None).unwrap();
-            for q in [[0, 1], [1, 2], [0, 2]].map(|q| q.map(TokenId)) {
-                assert_eq!(disk.matching(&q), ram.matching(&q), "matching {q:?}");
-                assert_eq!(disk.frequency(&q), ram.frequency(&q), "frequency {q:?}");
-            }
-            for t in (0..3).map(TokenId) {
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                ram.postings_into(t, &mut a);
-                disk.postings_into(t, &mut b);
-                assert_eq!(a, b, "postings {t:?}");
-            }
+        for ((n, matches), disk) in pools.iter().zip(&disks) {
+            assert_rows_equal(disk, *n, matches);
         }
         drop(disks);
         drop(runtimes);

@@ -138,7 +138,6 @@ mod tests {
         let rt = StoreRuntime::create(StoreConfig {
             page_size: 32,
             cache_pages: 2,
-            shards: 1,
             dir: None,
         })
         .unwrap();

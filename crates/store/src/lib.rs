@@ -1,7 +1,7 @@
-//! `smartcrawl-store`: the out-of-core index substrate.
+//! `smartcrawl-store`: the out-of-core storage substrate.
 //!
-//! The paper's efficient implementation assumes the inverted and forward
-//! indexes fit in RAM, which caps the reproduction at ~10⁵ hidden
+//! The paper's efficient implementation assumes its indexes and the
+//! hidden database fit in RAM, which caps the reproduction at ~10⁵ hidden
 //! records. This crate lifts that cap with a paged, versioned,
 //! checksummed on-disk storage layer:
 //!
@@ -23,18 +23,17 @@
 //! * [`blob`] — a byte-stream abstraction over the paged file: encoded
 //!   lists are appended back to back (straddling page boundaries) and
 //!   addressed by compact [`Locator`](blob::Locator)s.
-//! * [`inverted`] / [`forward`] — the disk backends proper: a
-//!   horizontally sharded inverted index queried shard-parallel via
-//!   `smartcrawl-par` and merged deterministically (shards are contiguous
-//!   record-id ranges, so concatenation in shard order *is* the sorted
-//!   union), and a paged CSR forward index.
-//! * [`backend`] — the [`AnyPostings`]/[`AnyForward`] dispatch enums and
-//!   the [`StoreRuntime`] owning the on-disk files and their page pool.
+//! * [`forward`] — the disk forward index: one encoded `F(d)` row per
+//!   local record, read back through the page pool.
+//! * [`backend`] — the [`AnyForward`] dispatch enum and the
+//!   [`StoreRuntime`] owning the on-disk files and their page pool.
 //!
-//! Both backends implement the `smartcrawl-index` backend traits; a
-//! conjunctive query's match set is a set intersection — unique — so the
-//! disk backend is digest-identical to the RAM backend by construction,
-//! which the workspace's acceptance tests assert at every thread count.
+//! The disk forward index implements the `smartcrawl-index`
+//! [`ForwardBackend`](smartcrawl_index::ForwardBackend) trait and holds
+//! the same rows as the RAM one, so it is digest-identical to it by
+//! construction, which the workspace's acceptance tests assert at every
+//! thread count. The hidden database's disk engine and the query cache
+//! build on the same pages, blobs, codec and pool.
 
 pub mod backend;
 pub mod blob;
@@ -42,15 +41,13 @@ pub mod cache;
 pub mod file;
 pub mod format;
 pub mod forward;
-pub mod inverted;
 pub mod postings;
 
-pub use backend::{AnyForward, AnyPostings, IndexBackendConfig, StoreRuntime};
+pub use backend::{AnyForward, IndexBackendConfig, StoreRuntime};
 pub use blob::{BlobReader, BlobWriter, Locator};
 pub use cache::{PagePool, RecencyList};
 pub use file::{PagedReader, PagedWriter};
 pub use forward::DiskForwardIndex;
-pub use inverted::DiskInvertedIndex;
 
 use std::path::PathBuf;
 
@@ -137,9 +134,6 @@ pub struct StoreConfig {
     /// The default is a ~50 MB-class pool (12800 × 4 KiB), the
     /// resident-memory bound the out-of-core claim is about.
     pub cache_pages: usize,
-    /// Number of horizontal shards for the inverted index (contiguous
-    /// record-id ranges queried in parallel).
-    pub shards: usize,
     /// Directory for the store files. `None` (the default) creates a
     /// unique directory under the system temp dir and removes it when the
     /// runtime drops.
@@ -151,7 +145,6 @@ impl Default for StoreConfig {
         Self {
             page_size: 4096,
             cache_pages: 12_800,
-            shards: 4,
             dir: None,
         }
     }
@@ -189,9 +182,10 @@ impl StoreStats {
 /// `cache_budget_pages`. Attached to `CrawlReport`s by the bench harness
 /// so the out-of-core claim is tracked, not anecdotal.
 ///
-/// Pool *statistics* are schedule-dependent when shards are probed from
-/// concurrent workers (hit/miss interleavings vary), so they are reported
-/// but never folded into any result digest.
+/// Pool *statistics* are schedule-dependent when several workers read
+/// through one pool, as the approaches of a parallel sweep do through the
+/// hidden store's (hit/miss interleavings vary), so they are reported but
+/// never folded into any result digest.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoreReport {
     /// Configured page size in bytes.

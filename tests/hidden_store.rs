@@ -43,7 +43,6 @@ fn small_runtime() -> Arc<StoreRuntime> {
     StoreRuntime::create(StoreConfig {
         page_size: 256,
         cache_pages: 8,
-        shards: 3,
         dir: None,
     })
     .expect("create store runtime")
@@ -131,7 +130,6 @@ fn truncated_hidden_store_file_fails_validation_cleanly() {
     let runtime = StoreRuntime::create(StoreConfig {
         page_size: 256,
         cache_pages: 8,
-        shards: 1,
         dir: Some(dir.clone()),
     })
     .unwrap();

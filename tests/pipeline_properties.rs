@@ -87,7 +87,6 @@ fn pipelined_digests_match_sequential_on_the_disk_backend() {
     let disk = IndexBackendConfig::Disk(StoreConfig {
         page_size: 128,
         cache_pages: 10,
-        shards: 3,
         ..Default::default()
     });
     for depth in [1usize, 4] {

@@ -1,10 +1,9 @@
-//! Acceptance tests for the out-of-core index substrate: the disk
-//! backend must be indistinguishable from the RAM indexes at the result
-//! level. Shards are contiguous record-id ranges and a conjunctive
-//! query's match set is unique, so every approach's crawl — queries
-//! issued, pages received, enrichment pairs, coverage curve — digests
-//! identically whichever backend served it, at every thread count, even
-//! under a page cache small enough to evict constantly.
+//! Acceptance tests for the out-of-core forward index: the disk backend
+//! must be indistinguishable from the RAM index at the result level. Both
+//! hold the same `F(d)` rows, so every approach's crawl — queries issued,
+//! pages received, enrichment pairs, coverage curve — digests identically
+//! whichever backend served it, at every thread count, even under a page
+//! cache small enough to evict constantly.
 
 use smartcrawl_bench::harness::{digest_outcomes, run_specs, Approach, RunSpec};
 use smartcrawl_core::{IndexBackendConfig, StoreConfig};
@@ -37,12 +36,11 @@ fn specs(backend: &IndexBackendConfig) -> Vec<RunSpec> {
 fn disk_backend_digest_matches_ram_at_every_thread_count() {
     let scenario = Scenario::build(ScenarioConfig::tiny(13));
     let reference = digest_outcomes(&run_specs(&scenario, &specs(&IndexBackendConfig::Ram)));
-    // Small pages, a tight cache, and an uneven shard split: the
-    // configuration that stresses page straddling and eviction hardest.
+    // Small pages and a tight cache: the configuration that stresses
+    // page straddling and eviction hardest.
     let disk = IndexBackendConfig::Disk(StoreConfig {
         page_size: 128,
         cache_pages: 10,
-        shards: 3,
         ..Default::default()
     });
     for threads in [1usize, 2, 4] {
@@ -58,15 +56,14 @@ fn disk_backend_digest_matches_ram_at_every_thread_count() {
 
 #[test]
 fn pathologically_small_cache_still_reproduces_results() {
-    // A budget below what one intersection pins at once: the cache must
-    // grow past its budget rather than deadlock, and results must not
-    // change.
+    // A budget small enough that one long row read may pin more pages
+    // than it holds: the cache must then grow past its budget rather than
+    // deadlock, and results must not change.
     let scenario = Scenario::build(ScenarioConfig::tiny(14));
     let reference = digest_outcomes(&run_specs(&scenario, &specs(&IndexBackendConfig::Ram)));
     let disk = IndexBackendConfig::Disk(StoreConfig {
         page_size: 64,
         cache_pages: 4,
-        shards: 2,
         ..Default::default()
     });
     let digest = digest_outcomes(&run_specs(&scenario, &specs(&disk)));
