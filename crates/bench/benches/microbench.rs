@@ -175,7 +175,7 @@ fn bench_matching(c: &mut Criterion) {
         .hidden
         .iter()
         .take(100)
-        .map(|r| ctx.doc_of_fields(r.searchable.fields()))
+        .map(|r| ctx.doc_of_fields(&r.fields))
         .collect();
     let live = vec![true; local.len()];
     c.bench_function("match/fuzzy_page100_vs_2k_locals", |b| {
@@ -211,8 +211,7 @@ fn bench_tokenize(c: &mut Criterion) {
         cfg.local_size = 100;
         cfg
     });
-    let mut views = Vec::with_capacity(scenario.hidden.len());
-    scenario.hidden.for_each_retrieved(|r| views.push(r));
+    let views: Vec<_> = scenario.hidden.iter().collect();
     let tok = Tokenizer::default();
     c.bench_function("text/tokenize_fields_hidden_records", |b| {
         b.iter(|| {

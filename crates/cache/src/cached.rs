@@ -12,7 +12,7 @@ use smartcrawl_hidden::{
 /// returns exactly the pages the bare stack would — keys canonicalize no
 /// further than the engine's own query normalization, and errors are never
 /// cached — so any crawl run on top of it produces an identical
-/// [`CrawlReport`] trajectory (the cross-crate `cache_properties` test
+/// `CrawlReport` trajectory (the cross-crate `cache_properties` test
 /// asserts this for every approach).
 ///
 /// Budget semantics: by default a hit never reaches `inner`, so a wrapped

@@ -6,7 +6,7 @@
 //! need from the page*. [`CrawlSession`] owns the skeleton: the budget
 //! loop, retry handling under a [`RetryPolicy`], [`CrawlStep`] /
 //! [`EnrichedPair`] bookkeeping, per-phase timing, and the
-//! [`CrawlObserver`](super::CrawlObserver) event stream. The per-approach
+//! [`CrawlObserver`] event stream. The per-approach
 //! logic lives behind the [`QuerySource`] trait, with one implementation
 //! per approach:
 //!
@@ -531,7 +531,7 @@ impl<'a> PageMatcher<'a> {
     }
 }
 
-/// [`QuerySource`] over the benefit-driven selection [`Engine`]: powers
+/// [`QuerySource`] over the benefit-driven selection `Engine`: powers
 /// SmartCrawl (QSel-Simple/Bound/Est) and IdealCrawl (QSel-Ideal).
 pub struct EngineSource<'a> {
     engine: Engine<'a>,

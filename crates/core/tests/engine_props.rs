@@ -87,7 +87,7 @@ proptest! {
         for pair in &report.enriched {
             prop_assert!(crawled.contains(&pair.external));
             let hidden_rec = s.hidden.get(pair.external).expect("returned record exists");
-            let hdoc = check_ctx.doc_of_fields(hidden_rec.searchable.fields());
+            let hdoc = check_ctx.doc_of_fields(&hidden_rec.fields);
             prop_assert!(
                 matcher.matches(check_local.doc(pair.local), &hdoc),
                 "claimed pair does not satisfy the matcher"

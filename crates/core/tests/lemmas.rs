@@ -307,17 +307,7 @@ fn lemma_6_unbiasedness_survives_fuzzy_matching() {
     // contains the token (computed against the full hidden database with
     // the same fuzzy matcher).
     let full_sample = smartcrawl_sampler::HiddenSample {
-        records: s
-            .hidden
-            .iter()
-            .map(|r| {
-                smartcrawl_hidden::Retrieved::new(
-                    r.external_id,
-                    r.searchable.fields().to_vec(),
-                    vec![],
-                )
-            })
-            .collect(),
+        records: s.hidden.iter().collect(),
         theta: 1.0,
     };
     let full_index = smartcrawl_core::SampleIndex::build(&full_sample, &mut ctx);

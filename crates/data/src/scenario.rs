@@ -646,7 +646,7 @@ mod tests {
         let mut by_entity: HashMap<EntityId, Vec<String>> = HashMap::new();
         for r in s.hidden.iter() {
             let e = s.truth.entity_of_external(r.external_id).unwrap();
-            by_entity.insert(e, r.searchable.fields().to_vec());
+            by_entity.insert(e, r.fields.to_vec());
         }
         for i in 0..s.truth.num_local() {
             if s.truth.local_has_match(i) {
@@ -664,7 +664,7 @@ mod tests {
         let mut by_entity: HashMap<EntityId, Vec<String>> = HashMap::new();
         for r in s.hidden.iter() {
             let e = s.truth.entity_of_external(r.external_id).unwrap();
-            by_entity.insert(e, r.searchable.fields().to_vec());
+            by_entity.insert(e, r.fields.to_vec());
         }
         let mut drifted = 0;
         for i in 0..s.truth.num_local() {
@@ -688,16 +688,8 @@ mod tests {
         clean_cfg.error_pct = 0.0;
         let clean = Scenario::build(clean_cfg);
         // Hidden sides identical; local sides differ.
-        let dirty_hidden: Vec<_> = s
-            .hidden
-            .iter()
-            .map(|r| r.searchable.fields().to_vec())
-            .collect();
-        let clean_hidden: Vec<_> = clean
-            .hidden
-            .iter()
-            .map(|r| r.searchable.fields().to_vec())
-            .collect();
+        let dirty_hidden: Vec<_> = s.hidden.iter().map(|r| r.fields.to_vec()).collect();
+        let clean_hidden: Vec<_> = clean.hidden.iter().map(|r| r.fields.to_vec()).collect();
         assert_eq!(dirty_hidden, clean_hidden);
         let differing = s
             .local
@@ -767,28 +759,8 @@ mod tests {
     fn assert_worlds_identical(ram: &Scenario, disk: &Scenario) {
         assert_eq!(ram.local, disk.local, "local database differs");
         assert_eq!(ram.hidden.len(), disk.hidden.len());
-        let ram_records: Vec<_> = ram
-            .hidden
-            .iter()
-            .map(|r| {
-                (
-                    r.external_id,
-                    r.searchable.fields().to_vec(),
-                    r.payload.clone(),
-                )
-            })
-            .collect();
-        let disk_records: Vec<_> = disk
-            .hidden
-            .iter()
-            .map(|r| {
-                (
-                    r.external_id,
-                    r.searchable.fields().to_vec(),
-                    r.payload.clone(),
-                )
-            })
-            .collect();
+        let ram_records: Vec<_> = ram.hidden.iter().collect();
+        let disk_records: Vec<_> = disk.hidden.iter().collect();
         assert_eq!(ram_records, disk_records, "hidden record stream differs");
         for ext in 0..ram.hidden.len() as u64 {
             assert_eq!(

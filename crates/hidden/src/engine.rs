@@ -6,13 +6,15 @@
 //! engine's ranking (an *overflowing* query). Query processing is
 //! deterministic.
 //!
-//! The engine fronts one of two backends behind the same API: the original
-//! all-in-RAM implementation, or the out-of-core [`crate::store`] backend
-//! that keeps records and postings in `smartcrawl-store` paged files with
-//! only O(vocabulary) + O(page-cache budget) bytes resident. Both number
+//! The engine fronts one of two backends behind the same API: the
+//! all-in-RAM implementation, or the out-of-core `store` backend that
+//! keeps records and postings in `smartcrawl-store` paged files with only
+//! O(vocabulary) + O(page-cache budget) bytes resident. Both number
 //! records by global rank position, so their postings are rank-sorted, and
-//! both answer every query through the same [`crate::topk`] scans — the
-//! pages are byte-identical because they come from one algorithm.
+//! both answer every query through the same `topk` scans — the pages are
+//! byte-identical because they come from one algorithm. Either way a
+//! built engine keeps and returns records only as the interface returns
+//! them, [`Retrieved`] views; the rank signal is consumed by the build.
 
 use crate::ranking::Ranking;
 use crate::record::{ExternalId, HiddenRecord, Retrieved};
@@ -110,10 +112,8 @@ impl HiddenDbBuilder {
         }
         let by_external =
             self.records.iter().enumerate().map(|(i, r)| (r.external_id, i)).collect();
-        // Pre-materialize every record's interface view once: `retrieve`
-        // then costs two refcount bumps per result instead of deep-copying
-        // all field and payload strings on every page it appears in.
-        let retrieved: Vec<Retrieved> = self
+        // Clone the cells; `records` and `docs` drop on return. Moving them slowed set-up ~30%.
+        let views: Vec<Retrieved> = self
             .records
             .iter()
             .map(|r| {
@@ -126,9 +126,7 @@ impl HiddenDbBuilder {
             .collect();
         HiddenDb {
             backend: Backend::Ram(RamHidden {
-                records: self.records,
-                retrieved,
-                docs,
+                views,
                 postings,
                 by_rank,
                 by_external,
@@ -164,11 +162,6 @@ impl HiddenDbBuilder {
         )?;
         Ok(HiddenDb { backend: Backend::Disk(Box::new(disk)), vocab, tokenizer, k, mode })
     }
-
-    /// [`Self::build_streaming`] over just the records added so far.
-    pub fn build_disk(self, runtime: Arc<StoreRuntime>) -> smartcrawl_store::Result<HiddenDb> {
-        self.build_streaming(std::iter::empty(), runtime)
-    }
 }
 
 impl Default for HiddenDbBuilder {
@@ -184,15 +177,14 @@ enum Backend {
     Disk(Box<DiskHidden>),
 }
 
-/// The original all-in-RAM backend: dense parallel arrays indexed by the
+/// The all-in-RAM backend: one interface view per record, indexed by the
 /// insertion positions this engine minted at build time, plus rank-space
 /// postings.
 #[derive(Debug)]
 struct RamHidden {
-    records: Vec<HiddenRecord>,
-    /// Shared interface views, one per record (see `page`).
-    retrieved: Vec<Retrieved>,
-    docs: Vec<Document>,
+    /// Each record's interface view, in insertion order; a page clones
+    /// two `Arc`s per result.
+    views: Vec<Retrieved>,
     /// Per token, the rank positions of the records holding it, ascending.
     postings: Vec<Vec<u32>>,
     /// Insertion position of the record at each rank position.
@@ -206,7 +198,7 @@ impl RamHidden {
         let Ok(ranks) = topk::page(&mut self.postings.as_slice(), mode, tokens, k);
         ranks
             .iter()
-            .map(|&rank| self.retrieved[self.by_rank[rank as usize] as usize].clone())
+            .map(|&rank| self.views[self.by_rank[rank as usize] as usize].clone())
             .collect()
     }
 
@@ -237,7 +229,7 @@ impl HiddenDb {
     /// samplers with ground truth, and evaluation).
     pub fn len(&self) -> usize {
         match &self.backend {
-            Backend::Ram(ram) => ram.records.len(),
+            Backend::Ram(ram) => ram.views.len(),
             Backend::Disk(disk) => disk.len(),
         }
     }
@@ -260,51 +252,25 @@ impl HiddenDb {
         }
     }
 
-    /// Ground-truth record access by external id (evaluation only).
-    pub fn get(&self, id: ExternalId) -> Option<HiddenRecord> {
+    /// The interface view of the record with external id `id`: what a
+    /// search page returns for it (evaluation only).
+    pub fn get(&self, id: ExternalId) -> Option<Retrieved> {
         match &self.backend {
-            Backend::Ram(ram) => ram.by_external.get(&id).map(|&i| ram.records[i].clone()),
+            Backend::Ram(ram) => ram.by_external.get(&id).map(|&i| ram.views[i].clone()),
             Backend::Disk(disk) => disk.get(id),
         }
     }
 
-    /// Iterates all records in insertion order (evaluation / oracle
-    /// sampling only). On the disk path each record is decoded on demand —
-    /// the set is never materialized.
-    pub fn iter(&self) -> impl Iterator<Item = HiddenRecord> + '_ {
+    /// Every record's interface view in insertion order (evaluation and
+    /// oracle sampling only). On the disk path each view is decoded on
+    /// demand, outside the view cache, so the set is never materialized
+    /// and a sweep cannot evict the crawl's working set.
+    pub fn iter(&self) -> impl Iterator<Item = Retrieved> + '_ {
+        let mut buf = Vec::new();
         (0..self.len()).map(move |i| match &self.backend {
-            Backend::Ram(ram) => ram.records[i].clone(),
-            Backend::Disk(disk) => disk.record_at(i),
+            Backend::Ram(ram) => ram.views[i].clone(),
+            Backend::Disk(disk) => disk.view_at(i as u32, &mut buf),
         })
-    }
-
-    /// Streams every record's interface view in insertion order. Samplers
-    /// use this instead of [`Self::iter`] so whole-database sweeps stay
-    /// out-of-core on the disk path (and skip the cell deep-copy on both).
-    pub fn for_each_retrieved(&self, mut f: impl FnMut(Retrieved)) {
-        match &self.backend {
-            Backend::Ram(ram) => {
-                for v in &ram.retrieved {
-                    f(v.clone());
-                }
-            }
-            Backend::Disk(disk) => disk.for_each_retrieved(f),
-        }
-    }
-
-    /// The indexed document of a record, under the engine's own vocabulary
-    /// (evaluation/diagnostics only). The disk path re-tokenizes the
-    /// record against the frozen vocabulary — identical to the indexed
-    /// document because every token of an indexed record was interned at
-    /// build time.
-    pub fn document_of(&self, id: ExternalId) -> Option<Document> {
-        match &self.backend {
-            Backend::Ram(ram) => ram.by_external.get(&id).map(|&i| ram.docs[i].clone()),
-            Backend::Disk(disk) => {
-                let rec = disk.get(id)?;
-                Some(self.tokenizer.tokenize_known(&rec.searchable.full_text(), &self.vocab))
-            }
-        }
     }
 
     /// Executes a keyword search, returning the top-`k` page.
@@ -359,15 +325,6 @@ impl HiddenDb {
         tokens.sort_unstable();
         tokens.dedup();
         tokens
-    }
-
-    /// The shared interface view of a record (samplers use this to build
-    /// whole-database samples without re-copying cells).
-    pub fn retrieved_of(&self, id: ExternalId) -> Option<Retrieved> {
-        match &self.backend {
-            Backend::Ram(ram) => ram.by_external.get(&id).map(|&i| ram.retrieved[i].clone()),
-            Backend::Disk(disk) => disk.retrieved_of(id),
-        }
     }
 }
 
@@ -601,25 +558,23 @@ mod tests {
             .expect("disk build");
         assert_eq!(ram.len(), disk.len());
         for id in (0..records().len() as u64 + 2).map(ExternalId) {
-            let (a, b) = (ram.get(id), disk.get(id));
-            assert_eq!(a.is_some(), b.is_some(), "presence of {id:?}");
-            if let (Some(a), Some(b)) = (&a, &b) {
-                assert_eq!(a.external_id, b.external_id);
-                assert_eq!(a.searchable.fields(), b.searchable.fields());
-                assert_eq!(a.payload, b.payload);
-                assert_eq!(a.rank_signal.to_bits(), b.rank_signal.to_bits());
-            }
-            assert_eq!(ram.retrieved_of(id), disk.retrieved_of(id), "view of {id:?}");
-            assert_eq!(ram.document_of(id), disk.document_of(id), "document of {id:?}");
+            assert_eq!(ram.get(id), disk.get(id), "view of {id:?}");
         }
-        let ram_iter: Vec<u64> = ram.iter().map(|r| r.external_id.0).collect();
-        let disk_iter: Vec<u64> = disk.iter().map(|r| r.external_id.0).collect();
-        assert_eq!(ram_iter, disk_iter);
-        let mut ram_views = Vec::new();
-        ram.for_each_retrieved(|v| ram_views.push(v));
-        let mut disk_views = Vec::new();
-        disk.for_each_retrieved(|v| disk_views.push(v));
-        assert_eq!(ram_views, disk_views);
+        // `get` answers with the view a search page returns.
+        for q in queries() {
+            for h in [&ram, &disk] {
+                for view in h.search(&q) {
+                    assert_eq!(h.get(view.external_id).as_ref(), Some(&view), "{q:?}");
+                }
+            }
+        }
+        // `iter` yields every record's view in insertion order.
+        let expect: Vec<Retrieved> = records()
+            .into_iter()
+            .map(|r| Retrieved::new(r.external_id, r.searchable.fields().to_vec(), r.payload))
+            .collect();
+        assert_eq!(ram.iter().collect::<Vec<_>>(), expect);
+        assert_eq!(disk.iter().collect::<Vec<_>>(), expect);
         assert!(ram.store_report().is_none());
         assert!(disk.store_report().is_some());
     }

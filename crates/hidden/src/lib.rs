@@ -5,9 +5,12 @@
 //! match, ranked by a function the crawler does not know. This crate
 //! simulates such databases faithfully:
 //!
-//! * [`HiddenDb`] — an in-memory corpus with an inverted index and a
-//!   deterministic (but externally opaque) [`Ranking`]. Two search
-//!   semantics are supported, mirroring the paper's two evaluation setups:
+//! * [`HiddenDb`] — a corpus held in RAM or on the paged store, with an
+//!   inverted index and a deterministic (but externally opaque)
+//!   [`Ranking`]. It keeps each record as the interface returns it, a
+//!   [`Retrieved`] view, and answers `get` and `iter` with views too. Two
+//!   search semantics are supported, mirroring the paper's two evaluation
+//!   setups:
 //!   * [`SearchMode::Conjunctive`] — only records containing *all* query
 //!     keywords are returned (DBLP-style engine, §7.1.1);
 //!   * [`SearchMode::Disjunctive`] — records matching *any* keyword are

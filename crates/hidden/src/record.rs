@@ -9,7 +9,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ExternalId(pub u64);
 
-/// A record stored inside a hidden database.
+/// A record as handed to [`HiddenDbBuilder`](crate::HiddenDbBuilder): the
+/// built database keeps only its [`Retrieved`] view, and the rank signal
+/// orders it.
 #[derive(Debug, Clone)]
 pub struct HiddenRecord {
     /// The database's own key for the record.

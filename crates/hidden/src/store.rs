@@ -1,14 +1,15 @@
 //! Disk-backed hidden-database backend.
 //!
-//! The RAM engine holds `Vec<HiddenRecord>` plus a pre-materialized
-//! `Vec<Retrieved>` — fine at 10⁵ records, hopeless at the ROADMAP's
-//! scale-100 target. This backend keeps the whole record set on disk in
+//! The RAM engine holds one pre-materialized `Retrieved` view per
+//! record — fine at 10⁵ records, hopeless at the ROADMAP's scale-100
+//! target. This backend keeps the whole record set on disk in
 //! `smartcrawl-store`'s paged format and keeps only O(vocabulary) +
 //! O(page-pool budget) bytes resident:
 //!
-//! * **records blob** — each record varint-encoded once, in insertion
-//!   order (the order the generator yielded them, which every digest in
-//!   the workspace is keyed to).
+//! * **records blob** — each record's interface view (external id,
+//!   fields, payload) varint-encoded once, in insertion order (the order
+//!   the generator yielded them, which every digest in the workspace is
+//!   keyed to). The rank signal is consumed by the build and not stored.
 //! * **postings blob** — one delta/varint posting list per token over
 //!   *rank-space* ids: records are renumbered by their global ranking
 //!   position before encoding, so every list is simultaneously ascending
@@ -20,9 +21,9 @@
 //! * **aux blob** — three fixed-width arrays, all read through the page
 //!   pool so resident memory stays O(pool), not O(|H|): rank → record
 //!   locator + insertion id (so a result page costs one aux read and one
-//!   record read per record), insertion id → record locator (for access
-//!   by insertion position or external id), and the external-id lookup
-//!   as a sorted `(external, insertion)` array probed by binary search.
+//!   record read per record), insertion id → record locator (for `get`
+//!   and `iter`), and the external-id lookup as a sorted
+//!   `(external, insertion)` array probed by binary search.
 //!
 //! `Retrieved` views are materialized lazily through a bounded
 //! two-generation cache instead of eagerly for every record. Build-time
@@ -104,12 +105,11 @@ fn short_read() -> StoreError {
     ))
 }
 
-/// Encodes one record: external id, rank-signal bits, then length-prefixed
-/// field and payload cells.
+/// Encodes one record's interface view: external id, then
+/// length-prefixed field and payload cells.
 fn encode_record(r: &HiddenRecord, out: &mut Vec<u8>) {
     out.clear();
     write_varint(out, r.external_id.0);
-    out.extend_from_slice(&r.rank_signal.to_bits().to_le_bytes());
     write_varint(out, r.searchable.fields().len() as u64);
     for f in r.searchable.fields() {
         write_varint(out, f.len() as u64);
@@ -137,21 +137,12 @@ fn read_cells(buf: &[u8], pos: &mut usize) -> Option<Vec<String>> {
     Some(cells)
 }
 
-fn decode_record(buf: &[u8]) -> Option<HiddenRecord> {
+fn decode_view(buf: &[u8]) -> Option<Retrieved> {
     let mut pos = 0usize;
     let ext = read_varint(buf, &mut pos)?;
-    let bits = le_u64(buf, pos)?;
-    pos += 8;
     let fields = read_cells(buf, &mut pos)?;
     let payload = read_cells(buf, &mut pos)?;
-    (pos == buf.len()).then(|| {
-        HiddenRecord::new(
-            ext,
-            smartcrawl_text::Record::new(fields),
-            payload,
-            f64::from_bits(bits),
-        )
-    })
+    (pos == buf.len()).then(|| Retrieved::new(ExternalId(ext), fields, payload))
 }
 
 /// Bounded two-generation view cache: O(1) insert/lookup, at most
@@ -467,16 +458,10 @@ impl DiskHidden {
         Ok(None)
     }
 
-    /// Decodes the record stored at `loc`.
-    fn read_record(&self, loc: Locator, buf: &mut Vec<u8>) -> Result<HiddenRecord> {
+    /// Decodes the view stored at `loc`.
+    fn read_view(&self, loc: Locator, buf: &mut Vec<u8>) -> Result<Retrieved> {
         self.records.read(loc, buf)?;
-        decode_record(buf).ok_or_else(|| corrupt(&self.runtime, "undecodable record"))
-    }
-
-    /// Decodes the full record at insertion id `ins`.
-    fn record_of(&self, ins: u32, buf: &mut Vec<u8>) -> Result<HiddenRecord> {
-        let loc = self.meta_of(ins, buf)?;
-        self.read_record(loc, buf)
+        decode_view(buf).ok_or_else(|| corrupt(&self.runtime, "undecodable record"))
     }
 
     /// The interface view of insertion id `ins`, whose record is stored
@@ -486,12 +471,7 @@ impl DiskHidden {
         if let Some(v) = cached {
             return Ok(v);
         }
-        let rec = self.read_record(loc, buf)?;
-        let view = Retrieved::new(
-            rec.external_id,
-            rec.searchable.fields().to_vec(),
-            rec.payload,
-        );
+        let view = self.read_view(loc, buf)?;
         self.views().insert(ins, view.clone());
         Ok(view)
     }
@@ -531,21 +511,8 @@ impl DiskHidden {
         }
     }
 
-    /// Ground-truth record access by external id.
-    pub(crate) fn get(&self, id: ExternalId) -> Option<HiddenRecord> {
-        let mut buf = Vec::new();
-        let ins = expect_store(
-            self.lookup_external(id.0, &mut buf),
-            "hidden external lookup",
-        )?;
-        Some(expect_store(
-            self.record_of(ins, &mut buf),
-            "hidden record read",
-        ))
-    }
-
     /// The interface view by external id.
-    pub(crate) fn retrieved_of(&self, id: ExternalId) -> Option<Retrieved> {
+    pub(crate) fn get(&self, id: ExternalId) -> Option<Retrieved> {
         let mut buf = Vec::new();
         let ins = expect_store(
             self.lookup_external(id.0, &mut buf),
@@ -557,25 +524,13 @@ impl DiskHidden {
         Some(expect_store(view, "hidden view read"))
     }
 
-    /// The full record at insertion position `ins` (iteration support).
-    pub(crate) fn record_at(&self, ins: usize) -> HiddenRecord {
-        let mut buf = Vec::new();
-        expect_store(self.record_of(ins as u32, &mut buf), "hidden record read")
-    }
-
-    /// Streams every record's interface view in insertion order without
-    /// materializing the set — sequential blob reads, bypassing the view
-    /// cache so a full sweep cannot evict the working set.
-    pub(crate) fn for_each_retrieved(&self, mut f: impl FnMut(Retrieved)) {
-        let mut buf = Vec::new();
-        for ins in 0..self.n {
-            let rec = expect_store(self.record_of(ins, &mut buf), "hidden record sweep");
-            f(Retrieved::new(
-                rec.external_id,
-                rec.searchable.fields().to_vec(),
-                rec.payload,
-            ));
-        }
+    /// The interface view at insertion position `ins`, decoded outside the
+    /// view cache so a whole-database sweep cannot evict the working set.
+    pub(crate) fn view_at(&self, ins: u32, buf: &mut Vec<u8>) -> Retrieved {
+        let view = self
+            .meta_of(ins, buf)
+            .and_then(|loc| self.read_view(loc, buf));
+        expect_store(view, "hidden record sweep")
     }
 }
 

@@ -19,7 +19,7 @@
 //!
 //! * `heap` — an implicit binary max-heap holding each live query id
 //!   exactly once; `pos` maps a query back to its heap slot (or
-//!   [`NOT_IN_HEAP`]). Membership in `heap` *is* liveness.
+//!   `NOT_IN_HEAP`). Membership in `heap` *is* liveness.
 //! * `priority` — the authoritative stored priority, read directly during
 //!   sifts. No priorities are duplicated inside heap entries, so there are
 //!   no superseded entries to skip at pop time and the heap never grows

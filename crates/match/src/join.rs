@@ -71,10 +71,11 @@ impl PageIndex {
                 seen.dedup();
                 for &i in &seen {
                     let h = &self.docs[i as usize];
-                    // Size filter: |h| must lie in [τ|d|, |d|/τ] for
-                    // Jaccard ≥ τ to be possible.
-                    let (dl, hl) = (d.len() as f64, h.len() as f64);
-                    if hl < threshold * dl || hl * threshold > dl {
+                    // Size filter: Jaccard is at most min/max of the two
+                    // sizes, computed as `jaccard` divides when the
+                    // smaller document lies inside the larger one.
+                    let (dl, hl) = (d.len(), h.len());
+                    if (dl.min(hl) as f64 / dl.max(hl) as f64) < threshold {
                         continue;
                     }
                     let sim = jaccard(d, h);
@@ -134,6 +135,19 @@ mod tests {
         let page = PageIndex::build(vec![far, close]);
         assert_eq!(page.find_match(&d, Matcher::Jaccard { threshold: 0.8 }), Some(1));
         assert_eq!(page.find_match(&d, Matcher::Jaccard { threshold: 0.95 }), None);
+    }
+
+    #[test]
+    fn size_filter_keeps_a_pair_exactly_at_the_threshold() {
+        // J = 55/100 = 0.55 exactly, yet 100 × 0.55 rounds above 55.
+        let small = doc(&(0..55).collect::<Vec<_>>());
+        let large = doc(&(0..100).collect::<Vec<_>>());
+        let jaccard = Matcher::Jaccard { threshold: 0.55 };
+        assert!(jaccard.matches(&small, &large));
+        let page = PageIndex::build(vec![large.clone()]);
+        assert_eq!(page.find_match(&small, jaccard), Some(0));
+        let page = PageIndex::build(vec![small]);
+        assert_eq!(page.find_match(&large, jaccard), Some(0));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Schema matching (paper §2: "we assume that schemas have been aligned"
-//! — the alignment itself is done by the DeepER demo system [43] using
+//! — the alignment itself is done by the DeepER demo system \[43\] using
 //! standard techniques; this module provides one).
 //!
 //! Given the column names and a row sample from both tables, each

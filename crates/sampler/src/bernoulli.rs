@@ -1,12 +1,11 @@
-//! Oracle samplers: used in the simulated experiments, where the
+//! The oracle sampler: used in the simulated experiments, where the
 //! experimenter owns the hidden database and the paper assumes `(Hs, θ)`
 //! are simply given (§5.1: "we treat deep web sampling as an orthogonal
 //! issue and assume that Hs and θ are given").
 
 use crate::HiddenSample;
-use rand::seq::index::sample as index_sample;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use smartcrawl_hidden::{HiddenDb, Retrieved};
+use smartcrawl_hidden::HiddenDb;
 
 /// Includes every hidden record independently with probability `theta`.
 ///
@@ -16,42 +15,10 @@ use smartcrawl_hidden::{HiddenDb, Retrieved};
 pub fn bernoulli_sample(db: &HiddenDb, theta: f64, seed: u64) -> HiddenSample {
     assert!((0.0..=1.0).contains(&theta), "theta must be in [0, 1]");
     let mut rng = StdRng::seed_from_u64(seed);
-    // One streamed pass over the engine's shared interface views: one
-    // Bernoulli draw per record in insertion order, so the trial sequence
-    // (and thus the sample) is identical on the RAM and disk backends.
-    let mut records: Vec<Retrieved> = Vec::new();
-    db.for_each_retrieved(|v| {
-        if rng.gen_bool(theta) {
-            records.push(v);
-        }
-    });
-    HiddenSample { records, theta }
-}
-
-/// Draws exactly `n` records uniformly without replacement; θ = n / |H|.
-pub fn uniform_sample(db: &HiddenDb, n: usize, seed: u64) -> HiddenSample {
-    assert!(n <= db.len(), "sample size exceeds database size");
-    if db.is_empty() {
-        return HiddenSample { records: Vec::new(), theta: 0.0 };
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Draw the insertion indices first (needs only |H|), then collect the
-    // chosen records in one streamed pass — never materializing the full
-    // set, which is what keeps oracle sampling out-of-core on the disk
-    // backend.
-    let mut idx: Vec<usize> = index_sample(&mut rng, db.len(), n).into_vec();
-    idx.sort_unstable();
-    let mut records: Vec<Retrieved> = Vec::with_capacity(n);
-    let mut next = 0usize;
-    let mut pos = 0usize;
-    db.for_each_retrieved(|v| {
-        if idx.get(next) == Some(&pos) {
-            records.push(v);
-            next += 1;
-        }
-        pos += 1;
-    });
-    let theta = n as f64 / db.len() as f64;
+    // One streamed pass over the engine's interface views: one Bernoulli
+    // draw per record in insertion order, so the trial sequence (and thus
+    // the sample) is identical on the RAM and disk backends.
+    let records = db.iter().filter(|_| rng.gen_bool(theta)).collect();
     HiddenSample { records, theta }
 }
 
@@ -59,14 +26,18 @@ pub fn uniform_sample(db: &HiddenDb, n: usize, seed: u64) -> HiddenSample {
 mod tests {
     use super::*;
     use smartcrawl_hidden::{HiddenDbBuilder, HiddenRecord};
+    use smartcrawl_store::{StoreConfig, StoreRuntime};
     use smartcrawl_text::Record;
 
+    fn records(n: usize) -> impl Iterator<Item = HiddenRecord> {
+        (0..n).map(|i| {
+            let name = Record::from([format!("record {i}")]);
+            HiddenRecord::new(i as u64, name, vec![], i as f64)
+        })
+    }
+
     fn db(n: usize) -> HiddenDb {
-        HiddenDbBuilder::new()
-            .records((0..n).map(|i| {
-                HiddenRecord::new(i as u64, Record::from([format!("record {i}")]), vec![], i as f64)
-            }))
-            .build()
+        HiddenDbBuilder::new().records(records(n)).build()
     }
 
     #[test]
@@ -95,21 +66,24 @@ mod tests {
     }
 
     #[test]
-    fn uniform_sample_has_exact_size_and_ratio() {
-        let h = db(200);
-        let s = uniform_sample(&h, 20, 9);
-        assert_eq!(s.len(), 20);
-        assert!((s.theta - 0.1).abs() < 1e-12);
-        // No duplicates.
-        let mut ids: Vec<u64> = s.records.iter().map(|r| r.external_id.0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "sample size exceeds database size")]
-    fn uniform_sample_rejects_oversize() {
-        uniform_sample(&db(3), 4, 0);
+    fn ram_and_disk_backends_give_the_same_sample() {
+        let runtime = StoreRuntime::create(StoreConfig {
+            page_size: 256,
+            cache_pages: 8,
+            dir: None,
+        })
+        .expect("store runtime");
+        let disk = HiddenDbBuilder::new()
+            .build_streaming(records(300), runtime)
+            .expect("disk build");
+        let a = bernoulli_sample(&db(300), 0.2, 11);
+        let b = bernoulli_sample(&disk, 0.2, 11);
+        assert_eq!(a.records, b.records);
+        assert_eq!(a.theta, b.theta);
+        // One draw per record, in insertion order (not rank order).
+        let mut rng = StdRng::seed_from_u64(11);
+        let expect: Vec<u64> = (0..300).filter(|_| rng.gen_bool(0.2)).collect();
+        let ids: Vec<u64> = a.records.iter().map(|r| r.external_id.0).collect();
+        assert_eq!(ids, expect);
     }
 }

@@ -27,7 +27,7 @@ pub mod persist;
 pub mod pool_sampler;
 pub mod random_walk;
 
-pub use bernoulli::{bernoulli_sample, uniform_sample};
+pub use bernoulli::bernoulli_sample;
 pub use pool_sampler::{pool_sample, pool_sample_queries, PoolSamplerConfig, SamplerOutput};
 pub use persist::{load_sample, save_sample};
 pub use random_walk::{random_walk_sample, RandomWalkConfig, RandomWalkOutput};

@@ -1,5 +1,5 @@
 //! Random-walk sampler over the query specialization tree (in the spirit
-//! of Dasgupta et al. [17]: "a random walk approach to sampling hidden
+//! of Dasgupta et al. \[17\]: "a random walk approach to sampling hidden
 //! databases", adapted from form facets to keywords).
 //!
 //! Where the pool sampler rejects every overflowing query outright, the
@@ -10,7 +10,7 @@
 //! uniformly.
 //!
 //! Each walk reaches record `r` with a path-dependent probability, so the
-//! raw walk is biased toward records behind short paths. Like [17], we
+//! raw walk is biased toward records behind short paths. Like \[17\], we
 //! track the walk's realized probability `p(walk) = Π step-choice
 //! probabilities × 1/m` and accept with probability `c / p(walk)`
 //! (clamped), which removes the bias up to the clamp. The estimator

@@ -5,10 +5,10 @@
 //! records. This crate lifts that cap with a paged, versioned,
 //! checksummed on-disk storage layer:
 //!
-//! * [`file`] — the block/offset file layout: fixed-size pages behind a
+//! * [`file`](mod@file) — the block/offset file layout: fixed-size pages behind a
 //!   versioned, checksummed header, written once by a single
-//!   [`PagedWriter`](file::PagedWriter) and then read by any number of
-//!   [`PagedReader`](file::PagedReader)s (single-writer → multi-reader
+//!   [`PagedWriter`] and then read by any number of
+//!   [`PagedReader`]s (single-writer → multi-reader
 //!   discipline). Every page carries a word-parallel checksum
 //!   ([`format::page_checksum`]) that each read verifies; truncation or
 //!   bit-rot surfaces as a clean [`StoreError::Corrupt`], never a panic.
@@ -22,7 +22,7 @@
 //!   galloping intersection over encoded lists without full decode.
 //! * [`blob`] — a byte-stream abstraction over the paged file: encoded
 //!   lists are appended back to back (straddling page boundaries) and
-//!   addressed by compact [`Locator`](blob::Locator)s.
+//!   addressed by compact [`Locator`]s.
 //! * [`forward`] — the disk forward index: one encoded `F(d)` row per
 //!   local record, read back through the page pool.
 //! * [`backend`] — the [`AnyForward`] dispatch enum and the

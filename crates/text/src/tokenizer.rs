@@ -42,8 +42,8 @@ pub struct Tokenizer;
 thread_local! {
     /// Scratch reused by the `tokenize*` entry points on this thread: the
     /// lowercase buffer and the ids of the document being built. The
-    /// closures run while it is borrowed only intern or look up keywords,
-    /// so it is never borrowed twice.
+    /// closure run while it is borrowed only interns keywords, so it is
+    /// never borrowed twice.
     static SCRATCH: RefCell<(String, Vec<TokenId>)> =
         const { RefCell::new((String::new(), Vec::new())) };
 }
@@ -74,18 +74,6 @@ fn each_keyword(text: &str, lower: &mut String, mut f: impl FnMut(&str)) {
     }
 }
 
-/// Runs `fill` on this thread's scratch and returns the ids it pushed as
-/// a document, copied out of the scratch list at exact size.
-fn collect_document(fill: impl FnOnce(&mut String, &mut Vec<TokenId>)) -> Document {
-    SCRATCH.with_borrow_mut(|(lower, ids)| {
-        ids.clear();
-        fill(lower, ids);
-        ids.sort_unstable();
-        ids.dedup();
-        Document::from_sorted(ids.to_vec())
-    })
-}
-
 impl Tokenizer {
     /// Calls `f` with each keyword of `text` (lowercased, stop words
     /// dropped), in text order, repeats included. These are the keywords
@@ -110,18 +98,15 @@ impl Tokenizer {
     /// Tokenizes the concatenation of `fields` (paper: `document(·)`
     /// concatenates all attributes of the record).
     pub fn tokenize_fields<S: AsRef<str>>(&self, fields: &[S], vocab: &mut Vocabulary) -> Document {
-        collect_document(|lower, ids| {
+        SCRATCH.with_borrow_mut(|(lower, ids)| {
+            ids.clear();
             for field in fields {
                 each_keyword(field.as_ref(), lower, |w| ids.push(vocab.intern(w)));
             }
+            ids.sort_unstable();
+            ids.dedup();
+            Document::from_sorted(ids.to_vec())
         })
-    }
-
-    /// Tokenizes without interning: keywords not already in `vocab` are
-    /// dropped. Used when probing an existing index with foreign text —
-    /// an unseen keyword cannot match anything in the index anyway.
-    pub fn tokenize_known(&self, text: &str, vocab: &Vocabulary) -> Document {
-        collect_document(|lower, ids| each_keyword(text, lower, |w| ids.extend(vocab.get(w))))
     }
 }
 
@@ -167,17 +152,6 @@ mod tests {
         assert_eq!(d.len(), 5);
         assert!(v.get("thai").is_some());
         assert!(v.get("vancouver").is_some());
-    }
-
-    #[test]
-    fn tokenize_known_drops_foreign_tokens_without_interning() {
-        let tok = Tokenizer::default();
-        let mut v = Vocabulary::new();
-        tok.tokenize("thai house", &mut v);
-        let before = v.len();
-        let d = tok.tokenize_known("thai pavilion", &v);
-        assert_eq!(v.len(), before);
-        assert_eq!(d.len(), 1); // only "thai" known
     }
 
     #[test]

@@ -56,21 +56,9 @@ fn main() {
     let full_sample = bernoulli_sample(&scenario.hidden, 0.01, 4);
     let mut iface = Metered::new(&scenario.hidden, Some(budget));
     let report = full_crawl(&local, &full_sample, &mut iface, budget, Matcher::Exact, ctx);
-    let rows: Vec<deeper::hidden::Retrieved> = {
-        // FullCrawl's report lists returned ids; refetch rows for scoring.
-        report
-            .crawled_ids()
-            .iter()
-            .filter_map(|&id| scenario.hidden.get(id))
-            .map(|r| {
-                deeper::hidden::Retrieved::new(
-                    r.external_id,
-                    r.searchable.fields().to_vec(),
-                    r.payload.clone(),
-                )
-            })
-            .collect()
-    };
+    // FullCrawl's report lists returned ids; refetch rows for scoring.
+    let rows: Vec<_> =
+        report.crawled_ids().iter().filter_map(|&id| scenario.hidden.get(id)).collect();
     let (total, community) = score(&rows);
     println!(
         "FullCrawl:     {budget} queries → {total} distinct rows, {community} in-domain \
