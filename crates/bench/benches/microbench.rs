@@ -177,13 +177,12 @@ fn bench_matching(c: &mut Criterion) {
         .take(100)
         .map(|r| ctx.doc_of_fields(&r.fields))
         .collect();
-    let live = vec![true; local.len()];
     c.bench_function("match/fuzzy_page100_vs_2k_locals", |b| {
         b.iter(|| {
             let mut hits = 0usize;
             for doc in &page {
                 hits += match_index
-                    .find_matches(black_box(doc), Matcher::Jaccard { threshold: 0.9 }, Some(&live))
+                    .find_matches(black_box(doc), Matcher::Jaccard { threshold: 0.9 })
                     .len();
             }
             black_box(hits)
@@ -193,10 +192,23 @@ fn bench_matching(c: &mut Criterion) {
         b.iter(|| {
             let mut hits = 0usize;
             for doc in &page {
-                hits += match_index.find_matches(black_box(doc), Matcher::Exact, Some(&live)).len();
+                hits += match_index.find_matches(black_box(doc), Matcher::Exact).len();
             }
             black_box(hits)
         })
+    });
+
+    // The engine's set-up flags each local record matched by a sample
+    // record: one probe of the match index per sample document.
+    let scenario = Scenario::build(ScenarioConfig::tiny(7));
+    let mut ctx = TextContext::new();
+    let local = LocalDb::build(scenario.local.clone(), &mut ctx);
+    let match_index = smartcrawl_core::LocalMatchIndex::build(&local);
+    let sample = smartcrawl_sampler::bernoulli_sample(&scenario.hidden, 0.05, 7);
+    let sample = smartcrawl_core::SampleIndex::build(&sample, &mut ctx);
+    let jaccard = Matcher::Jaccard { threshold: 0.9 };
+    c.bench_function("core/sample_local_matches", |b| {
+        b.iter(|| black_box(sample.local_matches(black_box(&match_index), jaccard)))
     });
 }
 

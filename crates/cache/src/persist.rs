@@ -18,12 +18,16 @@
 //! cell   = varint len, bytes
 //! ```
 //!
+//! The keywords are [`write_cells`]' layout and each record is
+//! [`write_record`]'s, the form the disk hidden store keeps its records in.
+//!
 //! Entries are written least-recently-used first, so loading re-inserts
 //! them in recency order and the store resumes with the exact LRU state it
 //! was saved with.
 
 use crate::store::{CachePolicy, QueryCache};
-use smartcrawl_hidden::{ExternalId, Retrieved, SearchPage};
+use smartcrawl_hidden::record::{read_cells, read_record, write_cells, write_record};
+use smartcrawl_hidden::SearchPage;
 use smartcrawl_store::format::{invalid_data as bad, read_varint, write_varint};
 use smartcrawl_store::{PagedReader, PagedWriter, StoreError};
 use std::path::Path;
@@ -39,22 +43,6 @@ fn from_store(e: StoreError) -> std::io::Error {
         StoreError::Io(e) => e,
         e @ StoreError::Corrupt { .. } => bad(&e.to_string()),
     }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    write_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(buf: &[u8], pos: &mut usize) -> std::io::Result<String> {
-    let len = usize::try_from(read_varint(buf, pos).ok_or_else(|| bad("truncated cell length"))?)
-        .map_err(|_| bad("oversized cell length"))?;
-    let end = pos
-        .checked_add(len)
-        .ok_or_else(|| bad("oversized cell length"))?;
-    let bytes = buf.get(*pos..end).ok_or_else(|| bad("truncated cell"))?;
-    *pos = end;
-    String::from_utf8(bytes.to_vec()).map_err(|_| bad("cell is not UTF-8"))
 }
 
 fn get_count(buf: &[u8], pos: &mut usize, what: &str) -> std::io::Result<usize> {
@@ -83,21 +71,10 @@ pub fn save_cache(path: impl AsRef<Path>, cache: &QueryCache) -> std::io::Result
         Ok(())
     };
     for (key, page) in cache.iter_lru() {
-        write_varint(&mut stream, key.len() as u64);
-        for kw in key {
-            put_str(&mut stream, kw);
-        }
+        write_cells(&mut stream, key);
         write_varint(&mut stream, page.records.len() as u64);
         for r in &page.records {
-            write_varint(&mut stream, r.external_id.0);
-            write_varint(&mut stream, r.fields.len() as u64);
-            for cell in r.fields.iter() {
-                put_str(&mut stream, cell);
-            }
-            write_varint(&mut stream, r.payload.len() as u64);
-            for cell in r.payload.iter() {
-                put_str(&mut stream, cell);
-            }
+            write_record(&mut stream, r.external_id, &r.fields, &r.payload);
         }
         flush_full(&mut stream, &mut writer)?;
     }
@@ -129,26 +106,11 @@ pub fn load_cache(path: impl AsRef<Path>, policy: CachePolicy) -> std::io::Resul
     let declared = get_count(&buf, &mut pos, "entry count")?;
     let mut cache = QueryCache::new(policy);
     for _ in 0..declared {
-        let nkw = get_count(&buf, &mut pos, "keyword count")?;
-        let mut key = Vec::with_capacity(nkw);
-        for _ in 0..nkw {
-            key.push(get_str(&buf, &mut pos)?);
-        }
+        let key = read_cells(&buf, &mut pos).ok_or_else(|| bad("corrupt keywords"))?;
         let nrec = get_count(&buf, &mut pos, "record count")?;
         let mut records = Vec::with_capacity(nrec);
         for _ in 0..nrec {
-            let id = read_varint(&buf, &mut pos).ok_or_else(|| bad("truncated external id"))?;
-            let nf = get_count(&buf, &mut pos, "field count")?;
-            let mut texts = Vec::with_capacity(nf);
-            for _ in 0..nf {
-                texts.push(get_str(&buf, &mut pos)?);
-            }
-            let np = get_count(&buf, &mut pos, "payload count")?;
-            let mut payload = Vec::with_capacity(np);
-            for _ in 0..np {
-                payload.push(get_str(&buf, &mut pos)?);
-            }
-            records.push(Retrieved::new(ExternalId(id), texts, payload));
+            records.push(read_record(&buf, &mut pos).ok_or_else(|| bad("corrupt record"))?);
         }
         cache.insert_untallied(key, SearchPage { records });
     }
@@ -162,6 +124,7 @@ pub fn load_cache(path: impl AsRef<Path>, policy: CachePolicy) -> std::io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartcrawl_hidden::{ExternalId, Retrieved};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(

@@ -11,7 +11,6 @@
 use crate::arena::RecordArena;
 use smartcrawl_hidden::Retrieved;
 use smartcrawl_text::{Document, Tokenizer, Vocabulary};
-use std::sync::Arc;
 
 /// Tokenizer + vocabulary shared by everything in one crawl.
 #[derive(Debug, Default)]
@@ -30,7 +29,7 @@ pub struct TextContext {
     /// is append-only, so tokenizing once is enough; top-k pages re-surface
     /// the same popular records constantly, which makes this the hottest
     /// cache in the crawl loop.
-    page_docs: Vec<Arc<Document>>,
+    page_docs: Vec<Document>,
 }
 
 impl TextContext {
@@ -50,13 +49,13 @@ impl TextContext {
     }
 
     /// Interns the retrieved record's external id, tokenizing its document
-    /// on first sight. Repeat appearances cost one arena probe — no
-    /// tokenization, no document clone. The returned dense id indexes
+    /// on first sight. Repeat appearances cost one arena probe and no
+    /// tokenization. The returned dense id indexes
     /// [`TextContext::dense_doc`] and any caller-side per-record memo.
     pub fn intern_retrieved(&mut self, r: &Retrieved) -> u32 {
         let (dense, fresh) = self.arena.intern(r.external_id);
         if fresh {
-            let d = Arc::new(self.tokenizer.tokenize_fields(&r.fields[..], &mut self.vocab));
+            let d = self.tokenizer.tokenize_fields(&r.fields[..], &mut self.vocab);
             self.page_docs.push(d);
         }
         dense
@@ -64,23 +63,9 @@ impl TextContext {
 
     /// The memoized document behind a dense id from
     /// [`TextContext::intern_retrieved`].
-    pub fn dense_doc(&self, dense: u32) -> &Arc<Document> {
+    pub fn dense_doc(&self, dense: u32) -> &Document {
         // lint:allow(panic-freedom) dense ids are minted by intern_retrieved, which pushes the doc before returning
         &self.page_docs[dense as usize]
-    }
-
-    /// Number of distinct retrieved records interned so far.
-    pub fn interned_records(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// The document of a retrieved hidden record, tokenized at most once
-    /// per crawl (subsequent appearances of the same record are an arena
-    /// probe plus a refcount bump).
-    pub fn doc_of_retrieved(&mut self, r: &Retrieved) -> Arc<Document> {
-        let dense = self.intern_retrieved(r);
-        // lint:allow(panic-freedom) intern_retrieved just pushed or found the doc at this id
-        Arc::clone(&self.page_docs[dense as usize])
     }
 }
 
@@ -108,19 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn doc_of_retrieved_memoizes_per_external_id() {
-        let mut ctx = TextContext::new();
-        let r = Retrieved::new(ExternalId(7), vec!["thai noodle house".into()], vec![]);
-        let a = ctx.doc_of_retrieved(&r);
-        let b = ctx.doc_of_retrieved(&r);
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must reuse the memoized doc");
-        assert_eq!(*a, ctx.doc_of_fields(&["thai noodle house"]));
-        // A different record still tokenizes fresh.
-        let other = Retrieved::new(ExternalId(8), vec!["noodle bar".into()], vec![]);
-        assert_eq!(ctx.doc_of_retrieved(&other).len(), 2);
-    }
-
-    #[test]
     fn intern_retrieved_assigns_dense_ids_in_first_appearance_order() {
         let mut ctx = TextContext::new();
         let a = Retrieved::new(ExternalId(90), vec!["thai house".into()], vec![]);
@@ -128,8 +100,12 @@ mod tests {
         assert_eq!(ctx.intern_retrieved(&a), 0);
         assert_eq!(ctx.intern_retrieved(&b), 1);
         assert_eq!(ctx.intern_retrieved(&a), 0, "repeat keeps its dense id");
-        assert_eq!(ctx.interned_records(), 2);
-        let expect = ctx.doc_of_fields(&["noodle bar"]);
-        assert_eq!(**ctx.dense_doc(1), expect);
+        // A record is tokenized once: a repeat id is not tokenized again,
+        // so its new cells never reach the document or the vocabulary.
+        let a_again = Retrieved::new(ExternalId(90), vec!["jade palace".into()], vec![]);
+        assert_eq!(ctx.intern_retrieved(&a_again), 0);
+        assert_eq!(ctx.vocab.get("jade"), None);
+        let expect = [ctx.doc_of_fields(&["thai house"]), ctx.doc_of_fields(&["noodle bar"])];
+        assert_eq!([ctx.dense_doc(0), ctx.dense_doc(1)], [&expect[0], &expect[1]]);
     }
 }

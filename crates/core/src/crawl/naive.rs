@@ -5,10 +5,12 @@
 
 use crate::context::TextContext;
 use crate::crawl::observe::{CrawlObserver, NullObserver};
-use crate::crawl::session::{CrawlSession, Observation, PageMatcher, QuerySource};
+use crate::crawl::session::{CrawlSession, Observation, QuerySource};
 use crate::crawl::CrawlReport;
 use crate::local::LocalDb;
 use crate::query::Query;
+use crate::select::engine::ProcessOutcome;
+use crate::select::PageMatcher;
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 use smartcrawl_hidden::{RetryPolicy, SearchInterface, SearchPage};
 use smartcrawl_match::Matcher;
@@ -64,10 +66,8 @@ impl QuerySource for NaiveSource<'_> {
     }
 
     fn observe(&mut self, _keywords: &[String], page: &SearchPage, _k: usize) -> Observation {
-        Observation {
-            newly_covered: self.matches.absorb(&page.records, &mut self.ctx),
-            removed: 0,
-        }
+        let (newly_covered, _) = self.matches.absorb(&page.records, &mut self.ctx, |_| true);
+        Observation::from_outcome(ProcessOutcome { newly_covered, removed: 0 }, &page.records)
     }
 
     fn selection_stats(&self) -> crate::select::engine::SelectionStats {

@@ -24,11 +24,9 @@
 
 use crate::crawl::observe::{CrawlEvent, CrawlObserver, EventCounts, EventStamp};
 use crate::crawl::{CrawlReport, CrawlStep, EnrichedPair};
-use crate::local::{LocalDb, LocalMatchIndex};
 use crate::select::engine::{Engine, ProcessOutcome, SelectionStats};
 use smartcrawl_hidden::{RetryPolicy, Retrieved, SearchError, SearchInterface, SearchPage};
 use smartcrawl_index::QueryId;
-use smartcrawl_match::Matcher;
 use smartcrawl_par::PipelineHandle;
 use std::time::Instant;
 
@@ -113,8 +111,9 @@ pub struct Observation {
 }
 
 impl Observation {
-    /// Builds an observation from an engine outcome and the page it came
-    /// from (`(local, page position)` pairs become [`EnrichedPair`]s).
+    /// Builds an observation from a page absorption's outcome and the page
+    /// it came from (`(local, page position)` pairs become
+    /// [`EnrichedPair`]s).
     pub(crate) fn from_outcome(outcome: ProcessOutcome, page: &[Retrieved]) -> Self {
         let newly_covered = outcome
             .newly_covered
@@ -470,64 +469,6 @@ impl Speculation<'_> {
             self.stats.discarded += 1;
         }
         self.stats
-    }
-}
-
-/// Shared page-to-`D` matching with covered-record deduplication — the
-/// bookkeeping NaiveCrawl and FullCrawl previously each reimplemented.
-/// Page docs are memoized in the [`TextContext`](crate::context::TextContext)
-/// and the matcher never restricts liveness (these crawlers keep all of `D`
-/// in play), so no all-true mask is materialized.
-pub(crate) struct PageMatcher<'a> {
-    index: LocalMatchIndex<'a>,
-    covered: Vec<bool>,
-    matcher: Matcher,
-    /// Page-match wall time, surfaced through the sources'
-    /// [`QuerySource::selection_stats`] so every approach reports the same
-    /// per-phase profile.
-    stats: SelectionStats,
-}
-
-impl<'a> PageMatcher<'a> {
-    pub(crate) fn new(local: &'a LocalDb, matcher: Matcher) -> Self {
-        Self {
-            index: LocalMatchIndex::build(local),
-            covered: vec![false; local.len()],
-            matcher,
-            stats: SelectionStats::default(),
-        }
-    }
-
-    /// Work counters accumulated so far (page-match time only).
-    pub(crate) fn stats(&self) -> SelectionStats {
-        self.stats
-    }
-
-    /// Matches a page against `D`, asserting each local record's first
-    /// match as its enrichment pair.
-    pub(crate) fn absorb(
-        &mut self,
-        page: &[Retrieved],
-        ctx: &mut crate::context::TextContext,
-    ) -> Vec<EnrichedPair> {
-        let t = Instant::now();
-        let mut pairs = Vec::new();
-        for r in page {
-            let rdoc = ctx.doc_of_retrieved(r);
-            for d in self.index.find_matches(&rdoc, self.matcher, None) {
-                if !self.covered[d] {
-                    self.covered[d] = true;
-                    pairs.push(EnrichedPair {
-                        local: d,
-                        external: r.external_id,
-                        payload: r.payload.clone(),
-                        hidden_fields: r.fields.clone(),
-                    });
-                }
-            }
-        }
-        self.stats.page_match_ns += t.elapsed().as_nanos() as u64;
-        pairs
     }
 }
 

@@ -114,8 +114,11 @@ impl LocalDb {
     }
 }
 
-/// Matches *returned hidden documents* against the whole local database —
-/// the page-to-`D` direction used by every crawler's bookkeeping.
+/// Matches hidden documents against the whole local database: the one
+/// place a crawl decides matches. A crawl probes it once per distinct
+/// returned record, and
+/// [`SampleIndex::local_matches`](crate::SampleIndex::local_matches) once
+/// per sample record.
 ///
 /// Exact matching is one hash lookup. Fuzzy (Jaccard ≥ τ) matching uses a
 /// prefix filter. Let `m` be the least overlap with `m / |h| ≥ τ`, in the
@@ -142,27 +145,19 @@ impl<'a> LocalMatchIndex<'a> {
         Self { db, by_doc }
     }
 
+    /// The local database this index matches against.
+    pub fn db(&self) -> &'a LocalDb {
+        self.db
+    }
+
     /// Local record positions matching hidden document `h` under `matcher`,
-    /// restricted to records where `live[i]`. Pass `None` for no
-    /// restriction — unlike an all-true slice, that costs nothing to
-    /// construct, which matters for oracle evaluations that call this once
-    /// per pool query. Sorted ascending.
-    pub fn find_matches(
-        &self,
-        h: &Document,
-        matcher: Matcher,
-        live: Option<&[bool]>,
-    ) -> Vec<usize> {
+    /// sorted ascending.
+    pub fn find_matches(&self, h: &Document, matcher: Matcher) -> Vec<usize> {
         match matcher {
             Matcher::Exact => self
                 .by_doc
                 .get(h)
-                .map(|v| {
-                    v.iter()
-                        .map(|&i| i as usize)
-                        .filter(|&i| live.is_none_or(|l| l[i]))
-                        .collect()
-                })
+                .map(|v| v.iter().map(|&i| i as usize).collect())
                 .unwrap_or_default(),
             Matcher::Jaccard { threshold } => {
                 // The least overlap `m` (see the type docs); an empty `h`
@@ -182,7 +177,6 @@ impl<'a> LocalMatchIndex<'a> {
                 candidates
                     .into_iter()
                     .map(|RecordId(i)| i as usize)
-                    .filter(|&i| live.is_none_or(|l| l[i]))
                     .filter(|&i| jaccard(&self.db.docs[i], h) >= threshold)
                     .collect()
             }
@@ -193,7 +187,10 @@ impl<'a> LocalMatchIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sample::SampleIndex;
     use proptest::prelude::*;
+    use smartcrawl_hidden::{ExternalId, Retrieved};
+    use smartcrawl_sampler::HiddenSample;
 
     fn setup() -> (LocalDb, TextContext) {
         let mut ctx = TextContext::new();
@@ -218,18 +215,11 @@ mod tests {
     }
 
     #[test]
-    fn exact_match_respects_liveness() {
+    fn exact_match_finds_only_the_equal_document() {
         let (db, mut ctx) = setup();
         let m = LocalMatchIndex::build(&db);
         let h = ctx.doc("thai noodle house");
-        assert_eq!(m.find_matches(&h, Matcher::Exact, None), vec![0]);
-        assert_eq!(
-            m.find_matches(&h, Matcher::Exact, Some(&[true; 4])),
-            vec![0]
-        );
-        assert!(m
-            .find_matches(&h, Matcher::Exact, Some(&[false, true, true, true]))
-            .is_empty());
+        assert_eq!(m.find_matches(&h, Matcher::Exact), vec![0]);
     }
 
     #[test]
@@ -241,7 +231,7 @@ mod tests {
         );
         let m = LocalMatchIndex::build(&db);
         let h = ctx.doc("thai house");
-        assert_eq!(m.find_matches(&h, Matcher::Exact, None), vec![0, 1]);
+        assert_eq!(m.find_matches(&h, Matcher::Exact), vec![0, 1]);
     }
 
     #[test]
@@ -256,11 +246,11 @@ mod tests {
         let h = ctx.doc(&h_words.join(" "));
         // J = 9/11 ≈ 0.82.
         assert_eq!(
-            m.find_matches(&h, Matcher::Jaccard { threshold: 0.8 }, None),
+            m.find_matches(&h, Matcher::Jaccard { threshold: 0.8 }),
             vec![0]
         );
         assert!(m
-            .find_matches(&h, Matcher::Jaccard { threshold: 0.9 }, None)
+            .find_matches(&h, Matcher::Jaccard { threshold: 0.9 })
             .is_empty());
     }
 
@@ -273,7 +263,7 @@ mod tests {
         // noodle,house}) = 3/4.
         let h = ctx.doc("thai noodle house extraword");
         assert_eq!(
-            m.find_matches(&h, Matcher::Jaccard { threshold: 0.7 }, Some(&[true; 4])),
+            m.find_matches(&h, Matcher::Jaccard { threshold: 0.7 }),
             vec![0]
         );
     }
@@ -287,7 +277,7 @@ mod tests {
         let db = LocalDb::build(vec![Record::from([words.join(" ")])], &mut ctx);
         let m = LocalMatchIndex::build(&db);
         let h = ctx.doc(&format!("{} novel", words.join(" ")));
-        assert_eq!(m.find_matches(&h, Matcher::paper_fuzzy(), None), vec![0]);
+        assert_eq!(m.find_matches(&h, Matcher::paper_fuzzy()), vec![0]);
     }
 
     /// Words `w0..` of the local vocabulary; page documents add `n0..`,
@@ -304,17 +294,11 @@ mod tests {
         words.join(" ")
     }
 
-    /// Brute force over every live local record: `Matcher::matches`,
-    /// except that under Jaccard an empty page document matches nothing,
-    /// although `jaccard` of two empty documents is 1.0.
-    fn brute_force(
-        db: &LocalDb,
-        h: &Document,
-        matcher: Matcher,
-        live: Option<&[bool]>,
-    ) -> Vec<usize> {
+    /// Brute force over every local record: `Matcher::matches`, except
+    /// that under Jaccard an empty document matches nothing, although
+    /// `jaccard` of two empty documents is 1.0.
+    fn brute_force(db: &LocalDb, h: &Document, matcher: Matcher) -> Vec<usize> {
         (0..db.len())
-            .filter(|&i| live.is_none_or(|l| l[i]))
             .filter(|&i| match matcher {
                 Matcher::Jaccard { .. } if h.is_empty() => false,
                 _ => matcher.matches(db.doc(i), h),
@@ -330,13 +314,12 @@ mod tests {
             // (local source, novel words, random words): a page document
             // is local document `source` plus `novel` words D lacks (an
             // at-threshold pair when the sizes line up), or, when there is
-            // no such document, the random words.
+            // no such document, the random words. The page documents are
+            // also a sample.
             pages in prop::collection::vec(
                 (0usize..18, 0usize..8, prop::collection::vec(0usize..WORDS + 4, 0..11)),
                 1..6,
             ),
-            mask in prop::collection::vec(0u8..3, 1..12),
-            masked in 0u8..2,
         ) {
             let mut docs = docs;
             let dups: Vec<Vec<usize>> =
@@ -346,27 +329,50 @@ mod tests {
             let records = docs.iter().map(|d| Record::from([text('w', d)])).collect();
             let db = LocalDb::build(records, &mut ctx);
             let m = LocalMatchIndex::build(&db);
-            let live: Vec<bool> = (0..db.len()).map(|i| mask[i % mask.len()] != 0).collect();
-            let live = (masked == 1).then_some(live.as_slice());
-            for (source, novel, random) in &pages {
-                let h = match docs.get(*source) {
+            let texts: Vec<String> = pages
+                .iter()
+                .map(|(source, novel, random)| match docs.get(*source) {
                     Some(d) => {
                         let novel: Vec<usize> = (0..*novel).collect();
-                        ctx.doc(&format!("{} {}", text('w', d), text('n', &novel)))
+                        format!("{} {}", text('w', d), text('n', &novel))
                     }
-                    None => ctx.doc(&text('w', random)),
-                };
-                let matchers = [0.3, 0.5, 0.7, 0.8, 0.9, 1.0]
-                    .map(|threshold| Matcher::Jaccard { threshold });
-                for matcher in std::iter::once(Matcher::Exact).chain(matchers) {
+                    None => text('w', random),
+                })
+                .collect();
+            let page_docs: Vec<Document> = texts.iter().map(|t| ctx.doc(t)).collect();
+            let sample = HiddenSample {
+                records: texts
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| Retrieved::new(ExternalId(i as u64), vec![t.clone()], vec![]))
+                    .collect(),
+                theta: 1.0,
+            };
+            let sample = SampleIndex::build(&sample, &mut ctx);
+            let matchers = [0.3, 0.5, 0.55, 0.7, 0.8, 0.9, 1.0]
+                .map(|threshold| Matcher::Jaccard { threshold });
+            for matcher in std::iter::once(Matcher::Exact).chain(matchers) {
+                let mut matched = vec![false; db.len()];
+                for h in &page_docs {
+                    let expect = brute_force(&db, h, matcher);
                     prop_assert_eq!(
-                        m.find_matches(&h, matcher, live),
-                        brute_force(&db, &h, matcher, live),
+                        m.find_matches(h, matcher),
+                        expect.clone(),
                         "page {:?} under {:?}",
                         h,
                         matcher
                     );
+                    for d in expect {
+                        matched[d] = true;
+                    }
                 }
+                prop_assert_eq!(
+                    sample.local_matches(&m, matcher),
+                    matched,
+                    "sample {:?} under {:?}",
+                    page_docs,
+                    matcher
+                );
             }
         }
     }

@@ -7,10 +7,9 @@
 //! sample record — so both statistics reduce to counting.
 
 use crate::context::TextContext;
-use crate::local::LocalDb;
+use crate::local::LocalMatchIndex;
 use smartcrawl_index::InvertedIndex;
-use smartcrawl_match::{Matcher, PageIndex};
-use smartcrawl_par::par_map;
+use smartcrawl_match::Matcher;
 use smartcrawl_sampler::HiddenSample;
 use smartcrawl_text::{Document, TokenId};
 
@@ -57,21 +56,28 @@ impl SampleIndex {
         self.index.frequency(query)
     }
 
-    /// For every local record, whether it matches some sample record under
-    /// `matcher` (the per-record ingredient of `|q(D) ∩̃ q(Hs)|`).
-    pub fn local_matches(&self, local: &LocalDb, matcher: Matcher) -> Vec<bool> {
-        if self.docs.is_empty() {
-            return vec![false; local.len()];
+    /// For every record of the local database `local` matches against,
+    /// whether it matches some sample record under `matcher` (the
+    /// per-record ingredient of `|q(D) ∩̃ q(Hs)|`). Each sample document
+    /// probes `local` once; both matchers are symmetric, so the records a
+    /// probe returns are exactly the ones that match that sample record.
+    pub fn local_matches(&self, local: &LocalMatchIndex<'_>, matcher: Matcher) -> Vec<bool> {
+        let mut matched = vec![false; local.db().len()];
+        for h in &self.docs {
+            for d in local.find_matches(h, matcher) {
+                if let Some(m) = matched.get_mut(d) {
+                    *m = true;
+                }
+            }
         }
-        // Each local record probes the page index independently.
-        let page = PageIndex::build(self.docs.clone());
-        par_map(local.docs(), |d| page.find_match(d, matcher).is_some())
+        matched
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::local::LocalDb;
     use smartcrawl_hidden::{ExternalId, Retrieved};
     use smartcrawl_text::Record;
 
@@ -109,7 +115,26 @@ mod tests {
             &mut ctx,
         );
         let s = SampleIndex::build(&sample(&["thai house", "ramen bar"], 0.5), &mut ctx);
-        assert_eq!(s.local_matches(&local, Matcher::Exact), vec![true, false]);
+        let index = LocalMatchIndex::build(&local);
+        assert_eq!(s.local_matches(&index, Matcher::Exact), vec![true, false]);
+    }
+
+    #[test]
+    fn a_pair_exactly_at_the_threshold_matches_from_either_side() {
+        // J = 55/100 = 0.55 exactly, although 100 × 0.55 rounds above 55.
+        let words = |n: usize| (0..n).map(|i| format!("w{i}")).collect::<Vec<_>>().join(" ");
+        let jaccard = Matcher::Jaccard { threshold: 0.55 };
+        for (local_words, sample_words) in [(55, 100), (100, 55)] {
+            let mut ctx = TextContext::new();
+            let local = LocalDb::build(vec![Record::from([words(local_words)])], &mut ctx);
+            let s = SampleIndex::build(&sample(&[words(sample_words).as_str()], 1.0), &mut ctx);
+            let index = LocalMatchIndex::build(&local);
+            assert_eq!(
+                s.local_matches(&index, jaccard),
+                vec![true],
+                "{local_words}-token local, {sample_words}-token sample"
+            );
+        }
     }
 
     #[test]
@@ -119,7 +144,7 @@ mod tests {
         let s = SampleIndex::empty();
         assert!(s.is_empty());
         assert_eq!(s.theta(), 0.0);
-        assert_eq!(s.local_matches(&local, Matcher::Exact), vec![false]);
+        assert_eq!(s.local_matches(&LocalMatchIndex::build(&local), Matcher::Exact), vec![false]);
         let thai = ctx.vocab.get("thai").unwrap();
         assert_eq!(s.frequency(&[thai]), 0);
     }

@@ -10,17 +10,16 @@
 
 use crate::context::TextContext;
 use crate::estimate::{Estimator, QueryType};
-use crate::local::{LocalDb, LocalMatchIndex};
+use crate::local::LocalDb;
 use crate::pool::QueryPool;
 use crate::sample::SampleIndex;
-use crate::select::{DeltaRemoval, Strategy};
+use crate::select::{DeltaRemoval, PageMatcher, Strategy};
 use smartcrawl_hidden::{HiddenDb, Retrieved};
 use smartcrawl_index::{LazyQueue, QueryId, RemovalScratch};
 use smartcrawl_match::Matcher;
 use smartcrawl_par::{par_map, par_map_indexed};
 use smartcrawl_store::AnyForward;
 use smartcrawl_text::RecordId;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Work counters for one crawl's selection machinery (paper Appendix B:
@@ -71,16 +70,16 @@ pub(crate) struct ProcessOutcome {
 /// The selection engine driving one crawl.
 pub(crate) struct Engine<'a> {
     local: &'a LocalDb,
-    match_index: LocalMatchIndex<'a>,
+    /// Page matching: the match index, its per-record memo and the
+    /// covered flags (records ever covered, for enrichment dedup; a
+    /// record can be removed without being covered).
+    matches: PageMatcher<'a>,
     pool: QueryPool,
     forward: AnyForward,
     queue: LazyQueue,
     /// Records still in `D` (not covered, not ΔD-removed).
     live: Vec<bool>,
     live_count: usize,
-    /// Records ever covered (for enrichment dedup; a record can be removed
-    /// without being covered).
-    covered: Vec<bool>,
     /// Scratch bitset for page absorption: which records the *current*
     /// page has already covered. Replaces an `O(|page|·matches)` linear
     /// scan of `covered_now`; bits are cleared sparsely after each page so
@@ -97,7 +96,6 @@ pub(crate) struct Engine<'a> {
     sample_match: Vec<bool>,
     estimator: Option<Estimator>,
     strategy: Strategy,
-    matcher: Matcher,
     k: usize,
     /// QSel-Ideal: covered local ids per query, computed once on demand.
     cover_cache: Vec<Option<Vec<u32>>>,
@@ -111,11 +109,6 @@ pub(crate) struct Engine<'a> {
     /// registered — dead records can never be removed again, so they never
     /// need a decrement.
     cover_queries: Vec<Vec<u32>>,
-    /// Per retrieved record (dense arena id): the local records its
-    /// document matches, liveness-unfiltered — [`LocalMatchIndex`] probes
-    /// are pure in everything but liveness, so one probe per distinct
-    /// record serves the whole crawl; callers filter by `live` at use.
-    match_memo: Vec<Option<Box<[u32]>>>,
     /// Reusable buffers for batched forward-index removal.
     removal_scratch: RemovalScratch,
     /// Reusable newly-dead-record buffer for [`Engine::remove_records`]:
@@ -151,7 +144,8 @@ impl<'a> Engine<'a> {
         // Per-query sample statistics are independent lookups — the setup
         // hot path on fig5-scale local databases.
         let freq_hs: Vec<u32> = par_map(pool.queries(), |q| sample.frequency(q.tokens()) as u32);
-        let sample_match = sample.local_matches(local, matcher);
+        let matches = PageMatcher::new(local, matcher);
+        let sample_match = matches.sample_matches(sample);
         let matched_cnt: Vec<u32> = par_map_indexed(pool.queries(), |i, _| {
             let m = pool.matches(QueryId(i as u32));
             m.iter().filter(|rid| sample_match[rid.index()]).count() as u32
@@ -195,14 +189,13 @@ impl<'a> Engine<'a> {
 
         let n_local = local.len();
         Self {
-            match_index: LocalMatchIndex::build(local),
             local,
+            matches,
             pool,
             forward,
             queue,
             live: vec![true; n_local],
             live_count: n_local,
-            covered: vec![false; n_local],
             page_seen: vec![false; n_local],
             freq,
             freq_hs,
@@ -210,12 +203,10 @@ impl<'a> Engine<'a> {
             sample_match,
             estimator,
             strategy,
-            matcher,
             k,
             cover_cache: vec![None; n_queries],
             live_cover: vec![0; n_queries],
             cover_queries: vec![Vec::new(); n_local],
-            match_memo: Vec::new(),
             removal_scratch: RemovalScratch::default(),
             removal_rids: Vec::new(),
             oracle,
@@ -338,77 +329,39 @@ impl<'a> Engine<'a> {
         let mut covered: Vec<u32> = Vec::new();
         for r in &page {
             // The oracle cover is over all of `D` (no liveness filter), so
-            // the memoized candidate set is usable as-is; repeat
-            // appearances of a record skip matching *and* tokenization.
-            let dense = self.ensure_candidates(r);
-            covered.extend_from_slice(self.match_memo[dense as usize].as_deref().expect("ensured"));
+            // the memoized matches are usable as-is.
+            covered.extend_from_slice(self.matches.probe(r, &mut self.ctx).1);
         }
         covered.sort_unstable();
         covered.dedup();
         covered
     }
 
-    /// Interns the retrieved record and fills its match-candidate memo
-    /// (the local records its document matches, liveness-unfiltered).
-    /// Returns the dense arena id indexing `match_memo`.
-    fn ensure_candidates(&mut self, r: &Retrieved) -> u32 {
-        let dense = self.ctx.intern_retrieved(r);
-        let di = dense as usize;
-        if self.match_memo.len() <= di {
-            self.match_memo.resize(di + 1, None);
-        }
-        if self.match_memo[di].is_none() {
-            let doc = Arc::clone(self.ctx.dense_doc(dense));
-            let cands: Vec<u32> = self
-                .match_index
-                .find_matches(&doc, self.matcher, None)
-                .into_iter()
-                .map(|d| d as u32)
-                .collect();
-            self.match_memo[di] = Some(cands.into_boxed_slice());
-        }
-        dense
-    }
-
-    /// Matches a page against the live local records through the candidate
-    /// memo: a record's first appearance in the crawl pays for
-    /// tokenization and the match-index probe, every later appearance is
-    /// an arena hit plus a memo read. `page_seen` dedups within the page
-    /// in O(1) per match and is left set for the covered records — callers
-    /// reset it sparsely via the returned `covered_now` once the removal
-    /// policy no longer needs it.
+    /// Matches a page against the live local records. `page_seen` dedups
+    /// within the page in O(1) per match and is left set for the covered
+    /// records — callers reset it sparsely via the returned `covered_now`
+    /// once the removal policy no longer needs it.
     ///
     /// Returns `(newly_covered, covered_now, page_dense)` where
     /// `page_dense[i]` is the dense arena id of `page[i]`.
     #[allow(clippy::type_complexity)] // the three parallel outputs of one page absorption
     fn match_page(&mut self, page: &[Retrieved]) -> (Vec<(usize, usize)>, Vec<usize>, Vec<u32>) {
-        let t_match = Instant::now();
-        let mut newly_covered: Vec<(usize, usize)> = Vec::new();
         let mut covered_now: Vec<usize> = Vec::new();
-        let mut page_dense: Vec<u32> = Vec::with_capacity(page.len());
-        for (pi, r) in page.iter().enumerate() {
-            let dense = self.ensure_candidates(r);
-            page_dense.push(dense);
-            let Self {
-                match_memo,
-                live,
-                page_seen,
-                covered,
-                ..
-            } = &mut *self;
-            for &d in match_memo[dense as usize].as_deref().expect("ensured") {
-                let d = d as usize;
-                if live[d] && !page_seen[d] {
-                    page_seen[d] = true;
-                    covered_now.push(d);
-                    if !covered[d] {
-                        covered[d] = true;
-                        newly_covered.push((d, pi));
-                    }
-                }
+        let Self {
+            matches,
+            ctx,
+            live,
+            page_seen,
+            ..
+        } = &mut *self;
+        let (newly_covered, page_dense) = matches.absorb(page, ctx, |d| {
+            let take = live[d] && !page_seen[d];
+            if take {
+                page_seen[d] = true;
+                covered_now.push(d);
             }
-        }
-        self.stats.page_match_ns += t_match.elapsed().as_nanos() as u64;
+            take
+        });
         (newly_covered, covered_now, page_dense)
     }
 
@@ -490,7 +443,7 @@ impl<'a> Engine<'a> {
     pub(crate) fn refresh_sample(&mut self, sample: &SampleIndex) {
         let Some(old) = self.estimator else { return };
         self.freq_hs = par_map(self.pool.queries(), |q| sample.frequency(q.tokens()) as u32);
-        self.sample_match = sample.local_matches(self.local, self.matcher);
+        self.sample_match = self.matches.sample_matches(sample);
         let (live, sample_match, pool) = (&self.live, &self.sample_match, &self.pool);
         self.matched_cnt = par_map_indexed(pool.queries(), |i, _| {
             pool.matches(QueryId(i as u32))
@@ -592,10 +545,11 @@ impl<'a> Engine<'a> {
     }
 
     /// The engine's work counters, with the queue's internal stamp-skip
-    /// counter merged in.
+    /// counter and the page matcher's time merged in.
     pub(crate) fn stats(&self) -> SelectionStats {
         let mut s = self.stats;
         s.stamp_skips = self.queue.stamp_skips();
+        s.page_match_ns = self.matches.stats().page_match_ns;
         s
     }
 
@@ -807,11 +761,8 @@ mod tests {
         let out = e.process(qid, &page);
         // Page = top-2 of {h0, h1, h2, h3} by signal: h0, h1 → covers
         // locals 0 and 1.
-        assert_eq!(out.newly_covered.len(), 2);
+        assert_eq!(out.newly_covered, vec![(0, 0), (1, 1)]);
         assert_eq!(e.live_count(), 2);
-        assert!(e.covered[0]);
-        assert!(e.covered[1]);
-        assert!(!e.covered[2]);
     }
 
     #[test]
@@ -860,9 +811,8 @@ mod tests {
         let pool_len_before = e.queue.len();
         let page = hidden.search(&["thai".into(), "noodle".into(), "house".into()]);
         let out = e.process_external(&page);
-        assert_eq!(out.newly_covered.len(), 1); // local 0 covered
+        assert_eq!(out.newly_covered, vec![(0, 0)]); // local 0 covered
         assert_eq!(out.removed, 1);
-        assert!(e.covered[0]);
         assert_eq!(e.queue.len(), pool_len_before, "no pool query consumed");
         // Frequencies reflect the removal.
         let house_q = (0..e.pool.len())

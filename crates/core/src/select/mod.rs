@@ -15,11 +15,14 @@
 //! | QSel-Est (Alg. 4) | Table 1 estimators (biased/unbiased) | covered ∪ (`q(D)` when the query is solid — the ΔD prediction of §4.2) |
 //!
 //! The engine implementing the shared skeleton lives in [`engine`]; the
-//! public crawlers in [`crate::crawl`] wrap it.
+//! public crawlers in [`crate::crawl`] wrap it. The engine and the
+//! baseline crawlers all match pages against `D` through a `PageMatcher`.
 
 pub mod engine;
+mod page_match;
 
 pub use engine::{probe_engine_setup, SelectionStats, SetupProbe};
+pub(crate) use page_match::PageMatcher;
 
 use crate::estimate::EstimatorKind;
 

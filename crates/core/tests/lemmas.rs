@@ -13,7 +13,7 @@
 
 use smartcrawl_core::{
     crawl::{ideal_crawl, smart_crawl, IdealCrawlConfig, SmartCrawlConfig},
-    LocalDb, PoolConfig, Strategy, TextContext,
+    LocalDb, LocalMatchIndex, PoolConfig, Strategy, TextContext,
 };
 use smartcrawl_data::{Scenario, ScenarioConfig};
 use smartcrawl_hidden::Metered;
@@ -138,11 +138,12 @@ fn lemma_3_solid_estimator_is_unbiased() {
     let theta = 0.25;
     let trials = 600;
     let mut sum = 0.0;
+    let index = LocalMatchIndex::build(&local);
     for seed in 0..trials {
         let sample = bernoulli_sample(&s.hidden, theta, 1_000 + seed);
         let sample_idx = smartcrawl_core::SampleIndex::build(&sample, &mut ctx);
         // |q(D) ∩̃ q(Hs)| — count local keyword-records matched in-sample.
-        let matched = sample_idx.local_matches(&local, Matcher::Exact);
+        let matched = sample_idx.local_matches(&index, Matcher::Exact);
         let inter = (0..local.len())
             .filter(|&i| local.doc(i).contains(token) && matched[i])
             .count() as f64;
@@ -198,7 +199,7 @@ fn estimated_benefit_tracks_true_benefit_direction() {
         &local,
         &PoolConfig { min_support: 2, max_len: 2, seed: 1 },
     );
-    let matched = sample_idx.local_matches(&local, Matcher::Exact);
+    let matched = sample_idx.local_matches(&LocalMatchIndex::build(&local), Matcher::Exact);
     let mut high_est_benefit = 0.0;
     let mut low_est_benefit = 0.0;
     let mut highs = 0.0;
@@ -311,7 +312,8 @@ fn lemma_6_unbiasedness_survives_fuzzy_matching() {
         theta: 1.0,
     };
     let full_index = smartcrawl_core::SampleIndex::build(&full_sample, &mut ctx);
-    let matched_full = full_index.local_matches(&local, matcher);
+    let index = LocalMatchIndex::build(&local);
+    let matched_full = full_index.local_matches(&index, matcher);
     let truth = (0..local.len())
         .filter(|&i| local.doc(i).contains(token) && matched_full[i])
         .count() as f64;
@@ -323,7 +325,7 @@ fn lemma_6_unbiasedness_survives_fuzzy_matching() {
     for seed in 0..trials {
         let sample = bernoulli_sample(&s.hidden, theta, 40_000 + seed);
         let idx = smartcrawl_core::SampleIndex::build(&sample, &mut ctx);
-        let matched = idx.local_matches(&local, matcher);
+        let matched = idx.local_matches(&index, matcher);
         let inter = (0..local.len())
             .filter(|&i| local.doc(i).contains(token) && matched[i])
             .count() as f64;

@@ -24,8 +24,8 @@ use crate::publications::PublicationGen;
 use crate::EntityId;
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
+use smartcrawl_hidden::record::{read_cells, write_cells};
 use smartcrawl_hidden::{ExternalId, HiddenDb, HiddenDbBuilder, HiddenRecord, Ranking, SearchMode};
-use smartcrawl_store::format::{read_varint, write_varint};
 use smartcrawl_store::{expect_store, BlobReader, BlobWriter, Locator, StoreRuntime};
 use smartcrawl_text::Record;
 use std::collections::{HashMap, HashSet};
@@ -432,38 +432,15 @@ fn ground_truth(
 fn encode_rest_entity(e: &Entity, out: &mut Vec<u8>) {
     out.clear();
     out.extend_from_slice(&e.rank_signal.to_bits().to_le_bytes());
-    write_varint(out, e.fields.len() as u64);
-    for f in &e.fields {
-        write_varint(out, f.len() as u64);
-        out.extend_from_slice(f.as_bytes());
-    }
-    write_varint(out, e.payload.len() as u64);
-    for p in &e.payload {
-        write_varint(out, p.len() as u64);
-        out.extend_from_slice(p.as_bytes());
-    }
-}
-
-fn decode_cells(buf: &[u8], pos: &mut usize) -> Option<Vec<String>> {
-    let n = usize::try_from(read_varint(buf, pos)?).ok()?;
-    if n > buf.len() {
-        return None;
-    }
-    let mut cells = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = usize::try_from(read_varint(buf, pos)?).ok()?;
-        let bytes = buf.get(*pos..pos.checked_add(len)?)?;
-        *pos += len;
-        cells.push(String::from_utf8(bytes.to_vec()).ok()?);
-    }
-    Some(cells)
+    write_cells(out, &e.fields);
+    write_cells(out, &e.payload);
 }
 
 fn decode_rest_entity(buf: &[u8]) -> Option<(Vec<String>, Vec<String>, f64)> {
     let bits = buf.get(0..8)?.try_into().ok().map(u64::from_le_bytes)?;
     let mut pos = 8usize;
-    let fields = decode_cells(buf, &mut pos)?;
-    let payload = decode_cells(buf, &mut pos)?;
+    let fields = read_cells(buf, &mut pos)?;
+    let payload = read_cells(buf, &mut pos)?;
     (pos == buf.len()).then(|| (fields, payload, f64::from_bits(bits)))
 }
 

@@ -1,5 +1,7 @@
-//! Hidden records and what the interface returns.
+//! Hidden records, what the interface returns, and the stored form of a
+//! returned record.
 
+use smartcrawl_store::format::{read_varint, write_varint};
 use smartcrawl_text::Record;
 use std::sync::Arc;
 
@@ -69,6 +71,54 @@ impl Retrieved {
     }
 }
 
+/// Appends `cells` as a varint count, then each cell as a varint byte
+/// length and its UTF-8 bytes: the cell layout of every stored record
+/// (the disk records blob, the scenario spill, the query-cache file).
+pub fn write_cells(out: &mut Vec<u8>, cells: &[String]) {
+    write_varint(out, cells.len() as u64);
+    for c in cells {
+        write_varint(out, c.len() as u64);
+        out.extend_from_slice(c.as_bytes());
+    }
+}
+
+/// Reads cells [`write_cells`] wrote at `*pos`, advancing past them.
+/// `None` on truncation, on a count larger than the bytes that remain
+/// (each cell takes at least one), on a length past the buffer, and on a
+/// cell that is not UTF-8.
+pub fn read_cells(buf: &[u8], pos: &mut usize) -> Option<Vec<String>> {
+    let n = usize::try_from(read_varint(buf, pos)?).ok()?;
+    if n > buf.len().saturating_sub(*pos) {
+        return None;
+    }
+    let mut cells = Vec::with_capacity(n);
+    for _ in 0..n {
+        let len = usize::try_from(read_varint(buf, pos)?).ok()?;
+        let end = pos.checked_add(len)?;
+        let bytes = buf.get(*pos..end)?;
+        *pos = end;
+        cells.push(String::from_utf8(bytes.to_vec()).ok()?);
+    }
+    Some(cells)
+}
+
+/// Appends the stored form of a returned record: its external id as a
+/// varint, then its field and payload cells ([`write_cells`]).
+pub fn write_record(out: &mut Vec<u8>, id: ExternalId, fields: &[String], payload: &[String]) {
+    write_varint(out, id.0);
+    write_cells(out, fields);
+    write_cells(out, payload);
+}
+
+/// Reads a record [`write_record`] wrote at `*pos`, advancing past it;
+/// `None` where [`read_cells`] fails or the id is truncated.
+pub fn read_record(buf: &[u8], pos: &mut usize) -> Option<Retrieved> {
+    let id = read_varint(buf, pos)?;
+    let fields = read_cells(buf, pos)?;
+    let payload = read_cells(buf, pos)?;
+    Some(Retrieved::new(ExternalId(id), fields, payload))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,6 +139,29 @@ mod tests {
             vec![],
         );
         assert_eq!(r.full_text(), "Thai House Vancouver");
+    }
+
+    #[test]
+    fn read_cells_rejects_truncated_and_implausible_input() {
+        let mut buf = Vec::new();
+        write_cells(&mut buf, &["thai".to_owned(), "house".to_owned()]);
+        // A cell cut short, at every length short of the whole.
+        for end in 0..buf.len() {
+            assert_eq!(read_cells(&buf[..end], &mut 0), None, "cut at {end}");
+        }
+        // Implausible counts: more cells than bytes left. The first would
+        // reserve terabytes if it were believed.
+        let mut implausible = Vec::new();
+        write_varint(&mut implausible, 1 << 40);
+        assert_eq!(read_cells(&implausible, &mut 0), None);
+        assert_eq!(read_cells(&[3, 0, 0], &mut 0), None);
+        assert_eq!(read_cells(&[2, 0, 0], &mut 0), Some(vec![String::new(); 2]));
+        // A length past the end, one that overflows `pos`, and bad UTF-8.
+        assert_eq!(read_cells(&[1, 5, b'a'], &mut 0), None);
+        let mut huge = vec![1];
+        write_varint(&mut huge, u64::MAX);
+        assert_eq!(read_cells(&huge, &mut 0), None);
+        assert_eq!(read_cells(&[1, 1, 0xff], &mut 0), None);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 
 use crate::engine::SearchMode;
 use crate::ranking::Ranking;
-use crate::record::{ExternalId, HiddenRecord, Retrieved};
+use crate::record::{read_record, write_record, ExternalId, HiddenRecord, Retrieved};
 use crate::topk::{self, PostingSource};
 use smartcrawl_store::format::{read_varint, write_varint};
 use smartcrawl_store::postings::{decode_postings_into, encode_postings, PostingCursor};
@@ -105,44 +105,11 @@ fn short_read() -> StoreError {
     ))
 }
 
-/// Encodes one record's interface view: external id, then
-/// length-prefixed field and payload cells.
-fn encode_record(r: &HiddenRecord, out: &mut Vec<u8>) {
-    out.clear();
-    write_varint(out, r.external_id.0);
-    write_varint(out, r.searchable.fields().len() as u64);
-    for f in r.searchable.fields() {
-        write_varint(out, f.len() as u64);
-        out.extend_from_slice(f.as_bytes());
-    }
-    write_varint(out, r.payload.len() as u64);
-    for p in &r.payload {
-        write_varint(out, p.len() as u64);
-        out.extend_from_slice(p.as_bytes());
-    }
-}
-
-fn read_cells(buf: &[u8], pos: &mut usize) -> Option<Vec<String>> {
-    let n = usize::try_from(read_varint(buf, pos)?).ok()?;
-    if n > buf.len() {
-        return None;
-    }
-    let mut cells = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = usize::try_from(read_varint(buf, pos)?).ok()?;
-        let bytes = buf.get(*pos..pos.checked_add(len)?)?;
-        *pos += len;
-        cells.push(String::from_utf8(bytes.to_vec()).ok()?);
-    }
-    Some(cells)
-}
-
+/// Decodes a records-blob entry: one [`write_record`] record, nothing after it.
 fn decode_view(buf: &[u8]) -> Option<Retrieved> {
     let mut pos = 0usize;
-    let ext = read_varint(buf, &mut pos)?;
-    let fields = read_cells(buf, &mut pos)?;
-    let payload = read_cells(buf, &mut pos)?;
-    (pos == buf.len()).then(|| Retrieved::new(ExternalId(ext), fields, payload))
+    let view = read_record(buf, &mut pos)?;
+    (pos == buf.len()).then_some(view)
 }
 
 /// Bounded two-generation view cache: O(1) insert/lookup, at most
@@ -247,7 +214,8 @@ impl DiskHidden {
                 }
             }
             doc_locs.push(doc_writer.append(&buf)?);
-            encode_record(&r, &mut buf);
+            buf.clear();
+            write_record(&mut buf, r.external_id, r.searchable.fields(), &r.payload);
             rec_locs.push(rec_writer.append(&buf)?);
             keys.push((ranking.key(r.external_id.0, r.rank_signal), r.external_id.0));
             exts.push(r.external_id.0);

@@ -3,14 +3,14 @@
 //!
 //! The crawler must decide, for every returned hidden record, which local
 //! records it covers. Under Assumption 3 this is exact document equality;
-//! in the fuzzy-matching setting it is a similarity join between `q(D)` and
-//! the returned top-k page. [`PageIndex`] makes that join cheap by
-//! token-blocking the (≤ k) page documents.
+//! in the fuzzy-matching setting it is Jaccard similarity at or above a
+//! threshold. [`Matcher`] is that decision for one pair of documents;
+//! `smartcrawl-core`'s `LocalMatchIndex` applies it to the whole local
+//! database. [`schema`] aligns a local table's columns with the hidden
+//! database's fields before any of that.
 
-pub mod join;
 pub mod matcher;
 pub mod schema;
 
-pub use join::PageIndex;
 pub use matcher::Matcher;
 pub use schema::{match_schemas, SchemaMatch};

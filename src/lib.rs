@@ -16,7 +16,7 @@
 //! | [`hidden`] | `smartcrawl-hidden` | hidden-database simulator + search interfaces |
 //! | [`cache`] | `smartcrawl-cache` | persistent query-result cache between crawler and interface |
 //! | [`sampler`] | `smartcrawl-sampler` | deep-web samplers (oracle + pool-based) |
-//! | [`matching`] | `smartcrawl-match` | entity resolution (exact, Jaccard join) |
+//! | [`matching`] | `smartcrawl-match` | entity resolution (exact, Jaccard), schema matching |
 //! | [`data`] | `smartcrawl-data` | synthetic DBLP-like / Yelp-like workloads |
 //! | [`par`] | `smartcrawl-par` | deterministic data-parallel runtime (fixed chunking, `SMARTCRAWL_THREADS`) |
 //!
