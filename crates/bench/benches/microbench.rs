@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks for the performance-critical substrates:
 //! posting-list intersection, frequent-pattern mining, pool generation,
 //! the lazy priority queue vs a naive rescan, estimator throughput,
-//! tokenization of hidden records, and an end-to-end crawl. Sized to
-//! finish in a couple of minutes.
+//! tokenization of hidden records, top-k pages from the disk hidden
+//! store, and an end-to-end crawl. Sized to finish in a couple of
+//! minutes.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -12,6 +13,7 @@ use smartcrawl_data::{Scenario, ScenarioConfig};
 use smartcrawl_fpm::{apriori, mine, MinerConfig};
 use smartcrawl_index::{InvertedIndex, LazyQueue, QueryId};
 use smartcrawl_match::Matcher;
+use smartcrawl_store::{StoreConfig, StoreRuntime};
 use smartcrawl_text::{Document, TokenId, Tokenizer, Vocabulary};
 use std::hint::black_box;
 
@@ -237,6 +239,54 @@ fn bench_tokenize(c: &mut Criterion) {
     });
 }
 
+fn bench_hidden_disk(c: &mut Criterion) {
+    // The disk result path: overflowing k = 100 queries against a
+    // streamed HiddenDb of 20 000 records whose 64-page pool holds about
+    // a seventh of its records pages. One iteration runs 200 distinct
+    // single-keyword queries (20 000 results); every iteration runs the
+    // same 200, where a crawl never repeats a query.
+    let runtime = StoreRuntime::create(StoreConfig {
+        page_size: 4096,
+        cache_pages: 64,
+        dir: None,
+    })
+    .expect("store runtime");
+    let scenario = Scenario::build_with_store(
+        {
+            let mut cfg = ScenarioConfig::tiny(9);
+            cfg.hidden_size = 20_000;
+            cfg.local_size = 100;
+            cfg.k = 100;
+            cfg
+        },
+        runtime,
+    )
+    .expect("stream scenario");
+    let hidden = &scenario.hidden;
+    let mut queries: Vec<Vec<String>> = Vec::new();
+    'scan: for view in hidden.iter() {
+        for word in view.full_text().split_whitespace() {
+            let q = vec![word.to_lowercase()];
+            if !queries.contains(&q) && hidden.true_frequency(&q) > 100 {
+                queries.push(q);
+                if queries.len() == 200 {
+                    break 'scan;
+                }
+            }
+        }
+    }
+    assert_eq!(queries.len(), 200, "200 overflowing queries");
+    c.bench_function("hidden/disk_page_k100", |b| {
+        b.iter(|| {
+            let mut results = 0usize;
+            for q in &queries {
+                results += hidden.search(black_box(q)).len();
+            }
+            black_box(results)
+        })
+    });
+}
+
 fn bench_estimators(c: &mut Criterion) {
     use smartcrawl_core::{fisher_nch_mean, Estimator, EstimatorKind};
     let est = Estimator::new(EstimatorKind::Biased, 100, 0.005, 10_000, 500);
@@ -257,6 +307,6 @@ fn bench_estimators(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_inverted_index, bench_fpm, bench_pool_generation, bench_lazy_queue, bench_matching, bench_tokenize, bench_estimators, bench_end_to_end
+    targets = bench_inverted_index, bench_fpm, bench_pool_generation, bench_lazy_queue, bench_matching, bench_tokenize, bench_hidden_disk, bench_estimators, bench_end_to_end
 }
 criterion_main!(benches);

@@ -48,7 +48,7 @@ fn from_store(e: StoreError) -> std::io::Error {
 fn get_count(buf: &[u8], pos: &mut usize, what: &str) -> std::io::Result<usize> {
     let n = read_varint(buf, pos).ok_or_else(|| bad(&format!("truncated {what}")))?;
     // A count can never exceed the bytes that remain to encode it.
-    if n > buf.len() as u64 {
+    if n > buf.len().saturating_sub(*pos) as u64 {
         return Err(bad(&format!("implausible {what}")));
     }
     Ok(n as usize)
@@ -251,6 +251,31 @@ mod tests {
         w.finish().unwrap();
         assert!(load_cache(&path, CachePolicy::default()).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_count_larger_than_the_bytes_left_is_implausible() {
+        // Near the end of a large buffer, a count below the buffer's
+        // length but above the bytes after it fails before anything is
+        // reserved for it.
+        let at = 100_000;
+        let mut buf = vec![0u8; at];
+        write_varint(&mut buf, 50_000);
+        buf.extend_from_slice(&[0; 8]);
+        let mut pos = at;
+        let err = get_count(&buf, &mut pos, "record count").unwrap_err();
+        assert!(
+            err.to_string().contains("implausible record count"),
+            "{err}"
+        );
+        // As many as the bytes left (each record takes one or more) passes.
+        buf.truncate(at);
+        write_varint(&mut buf, 8);
+        let counted = buf.len();
+        buf.extend_from_slice(&[0; 8]);
+        let mut pos = at;
+        assert_eq!(get_count(&buf, &mut pos, "record count").unwrap(), 8);
+        assert_eq!(pos, counted);
     }
 
     #[test]

@@ -31,15 +31,6 @@ impl Matcher {
             Matcher::Jaccard { threshold } => jaccard(d, h) >= threshold,
         }
     }
-
-    /// The Jaccard threshold, treating exact matching as threshold 1.0 on
-    /// equal sets (useful for size filters).
-    pub fn threshold(&self) -> f64 {
-        match *self {
-            Matcher::Exact => 1.0,
-            Matcher::Jaccard { threshold } => threshold,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -75,11 +66,5 @@ mod tests {
         let m = Matcher::Jaccard { threshold: 1.0 };
         assert!(m.matches(&doc(&[1, 2]), &doc(&[1, 2])));
         assert!(!m.matches(&doc(&[1, 2]), &doc(&[1])));
-    }
-
-    #[test]
-    fn threshold_accessor() {
-        assert_eq!(Matcher::Exact.threshold(), 1.0);
-        assert_eq!(Matcher::paper_fuzzy().threshold(), 0.9);
     }
 }

@@ -15,10 +15,14 @@ use smartcrawl_hidden::HiddenDb;
 pub fn bernoulli_sample(db: &HiddenDb, theta: f64, seed: u64) -> HiddenSample {
     assert!((0.0..=1.0).contains(&theta), "theta must be in [0, 1]");
     let mut rng = StdRng::seed_from_u64(seed);
-    // One streamed pass over the engine's interface views: one Bernoulli
-    // draw per record in insertion order, so the trial sequence (and thus
-    // the sample) is identical on the RAM and disk backends.
-    let records = db.iter().filter(|_| rng.gen_bool(theta)).collect();
+    // One Bernoulli draw per record in insertion order, so the trial
+    // sequence (and thus the sample) is identical on the RAM and disk
+    // backends. All draws come first; only the chosen positions decode.
+    let chosen: Vec<usize> = (0..db.len()).filter(|_| rng.gen_bool(theta)).collect();
+    let records = chosen
+        .into_iter()
+        .filter_map(|pos| db.view_at(pos))
+        .collect();
     HiddenSample { records, theta }
 }
 
@@ -63,6 +67,35 @@ mod tests {
         let h = db(50);
         assert_eq!(bernoulli_sample(&h, 0.0, 1).len(), 0);
         assert_eq!(bernoulli_sample(&h, 1.0, 1).len(), 50);
+    }
+
+    #[test]
+    fn drawing_positions_first_keeps_the_streaming_sample() {
+        // The sample as a filter over the streamed views, one draw per
+        // view: the position-first sampler must return the same records.
+        let streamed = |h: &HiddenDb, theta: f64, seed: u64| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            h.iter().filter(|_| rng.gen_bool(theta)).collect::<Vec<_>>()
+        };
+        let runtime = StoreRuntime::create(StoreConfig {
+            page_size: 256,
+            cache_pages: 8,
+            dir: None,
+        })
+        .expect("store runtime");
+        let disk = HiddenDbBuilder::new()
+            .build_streaming(records(300), runtime)
+            .expect("disk build");
+        for h in [&db(300), &disk] {
+            for theta in [0.0, 0.3, 1.0] {
+                let expect = streamed(h, theta, 5);
+                assert_eq!(
+                    bernoulli_sample(h, theta, 5).records,
+                    expect,
+                    "theta {theta}"
+                );
+            }
+        }
     }
 
     #[test]

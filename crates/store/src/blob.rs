@@ -4,7 +4,10 @@
 //! layer writes them back to back across page payloads (a list freely
 //! straddles page boundaries) and addresses each one with a compact
 //! [`Locator`]. Reads go through the runtime's page pool, so only the
-//! touched pages of a multi-gigabyte file are ever resident.
+//! touched pages of a multi-gigabyte file are ever resident. A file
+//! written a page at a time, whose pages carry a layout of their own,
+//! is read through the same reader one page at a time, in place
+//! ([`BlobReader::with_page`]).
 
 use crate::cache::PagePool;
 use crate::file::{PagedReader, PagedWriter};
@@ -107,6 +110,17 @@ impl BlobReader {
         self.pool
             .read_span(self.file, &self.reader, loc.off, loc.len as usize, out)
     }
+
+    /// Lends the payload of page `page` to `f` through the pool, pinned
+    /// for the call: one pool access and no copy. For files whose pages
+    /// carry a layout of their own, written a page at a time with
+    /// [`PagedWriter::append_page`](crate::PagedWriter::append_page);
+    /// page `p` starts at logical offset `p ×` the payload capacity.
+    /// `f` runs under the pool's lock, so it should copy out what it
+    /// needs and return.
+    pub fn with_page<R>(&self, page: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
+        self.pool.with_page(self.file, &self.reader, page, f)
+    }
 }
 
 #[cfg(test)]
@@ -142,6 +156,24 @@ mod tests {
             r.read(locs[i], &mut out).unwrap();
             assert_eq!(&out, &runs[i], "run {i}");
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn with_page_lends_the_payload_of_one_page() {
+        let path = tmp("lend");
+        let mut w = crate::PagedWriter::create(&path, 32).unwrap();
+        w.append_page(b"first").unwrap();
+        w.append_page(b"second page").unwrap();
+        w.finish().unwrap();
+        let pool = Arc::new(PagePool::new(1));
+        let r = BlobReader::open(&path, &pool).unwrap();
+        assert_eq!(r.with_page(1, |p| p.to_vec()).unwrap(), b"second page");
+        assert_eq!(r.with_page(0, |p| p.len()).unwrap(), 5);
+        assert_eq!(r.with_page(0, |p| p.first().copied()).unwrap(), Some(b'f'));
+        let stats = pool.stats();
+        assert_eq!((stats.hits, stats.misses, stats.resident_pages), (1, 2, 1));
+        assert!(r.with_page(2, |p| p.len()).is_err());
         std::fs::remove_file(&path).ok();
     }
 

@@ -217,6 +217,20 @@ impl PagePool {
     ) -> Result<()> {
         self.lock().read_span(file, reader, off, len, out)
     }
+
+    /// Pins page `page` of `file` (read through `reader`), lends its
+    /// payload to `f` and releases the pin: one pool access that copies
+    /// nothing by itself. `f` runs under the pool's lock, so it should
+    /// copy out what it needs and return.
+    pub(crate) fn with_page<R>(
+        &self,
+        file: u64,
+        reader: &PagedReader,
+        page: u64,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
+        self.lock().with_page(file, reader, page, f)
+    }
 }
 
 impl Frames {
@@ -330,6 +344,19 @@ impl Frames {
         })?;
         out.extend_from_slice(bytes);
         Ok(())
+    }
+
+    fn with_page<R>(
+        &mut self,
+        file: u64,
+        reader: &PagedReader,
+        page: u64,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
+        let slot = self.pin(file, reader, page)?;
+        let lent = self.frames.get(slot).map(|frame| f(&frame.payload));
+        self.unpin(slot);
+        lent.ok_or_else(|| frame_gone(reader))
     }
 
     fn read_span(
@@ -581,15 +608,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random pin, unpin and span reads over two files sharing one
-        /// pool at budgets 1 to 4 keep the pool in lockstep with the
-        /// reference model keyed by (file, page): same hits, misses and
-        /// evictions, same resident pages, after every step.
+        /// Random pins, unpins, span reads and lent pages over two files
+        /// sharing one pool at budgets 1 to 4 keep the pool in lockstep
+        /// with the reference model keyed by (file, page): same hits,
+        /// misses and evictions, same resident pages, after every step.
         #[test]
         fn recency_list_matches_the_smallest_last_use_rule(
             case in 0u64..1_000_000,
             budget in 1usize..5,
-            ops in vec((0u8..3, 0usize..2, 0u64..8, 0usize..4, 0usize..64), 1..80),
+            ops in vec((0u8..4, 0usize..2, 0u64..8, 0usize..4, 0usize..64), 1..80),
         ) {
             let pool = PagePool::new(budget);
             // File f holds pages filled with bytes 8f..8f+7.
@@ -615,6 +642,13 @@ mod tests {
                         let (key, slot) = held.swap_remove(pick % held.len());
                         pool.lock().unpin(slot);
                         model.unpin(key);
+                    }
+                    3 => {
+                        // One page lent in place: a pin and its release.
+                        let lent = pool.with_page(*file, reader, page, |p| (p.len(), p[pick % cap]));
+                        prop_assert_eq!(lent.unwrap(), (cap, page as u8 + 8 * f as u8));
+                        model.pin((*file, page));
+                        model.unpin((*file, page));
                     }
                     _ => {
                         // A span from inside `page` across `span` more

@@ -22,7 +22,9 @@
 //!   galloping intersection over encoded lists without full decode.
 //! * [`blob`] — a byte-stream abstraction over the paged file: encoded
 //!   lists are appended back to back (straddling page boundaries) and
-//!   addressed by compact [`Locator`]s.
+//!   addressed by compact [`Locator`]s. A file whose pages carry a layout
+//!   of their own is read a page at a time, in place
+//!   ([`BlobReader::with_page`]).
 //! * [`forward`] — the disk forward index: one encoded `F(d)` row per
 //!   local record, read back through the page pool.
 //! * [`backend`] — the [`AnyForward`] dispatch enum and the
